@@ -168,16 +168,32 @@ let fig6 () =
 (* Fig 7: end-to-end execution time                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Simulator speed, measured on the plain runs Fig 7 makes anyway: wall
+   MIPS per workload and dataset, and minor-heap words allocated per
+   retired instruction over all of them. *)
+type sim_speed = { mutable words : float; mutable insts : float }
+
+let timed_plain_run speed ~metric image =
+  let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  let r = Eric_sim.Soc.run_program image in
+  let dt = Unix.gettimeofday () -. t0 and dw = Gc.minor_words () -. w0 in
+  let insts = Int64.to_float r.Eric_sim.Soc.instructions in
+  speed.words <- speed.words +. dw;
+  speed.insts <- speed.insts +. insts;
+  Report.record ~suite:"fig7" ~metric ~unit_:"MIPS" (insts /. dt /. 1e6);
+  r
+
 let fig7 () =
   Report.heading
     "Fig 7: End-to-end execution time (load + run) of encrypted packages, normalised to plain";
   print_endline "(MiBench-style small datasets; full encryption; serialised single-SHA HDE)";
   let t = Lazy.force target in
   let key = device_key () in
+  let speed = { words = 0.0; insts = 0.0 } in
   let rows, pcts =
     List.fold_left
       (fun (rows, pcts) ((w : Eric_workloads.Workloads.t), image) ->
-        let plain = Eric_sim.Soc.run_program image in
+        let plain = timed_plain_run speed ~metric:("sim_mips_" ^ w.name) image in
         let build = Eric.Source.package_image ~mode:Eric.Config.Full ~key image in
         match Eric.Target.execute t build.Eric.Source.package with
         | Error e -> failwith (Format.asprintf "%s: %a" w.name Eric.Target.pp_load_error e)
@@ -210,7 +226,7 @@ let fig7 () =
   let large_pcts =
     List.map
       (fun ((w : Eric_workloads.Workloads.t), image) ->
-        let plain = Eric_sim.Soc.run_program image in
+        let plain = timed_plain_run speed ~metric:("sim_mips_large_" ^ w.name) image in
         let b = Eric.Source.package_image ~mode:Eric.Config.Full ~key image in
         match Eric.Target.execute t b.Eric.Source.package with
         | Error e -> failwith (Format.asprintf "%s: %a" w.name Eric.Target.pp_load_error e)
@@ -225,7 +241,11 @@ let fig7 () =
   Printf.printf "large datasets: avg %+.3f%%, max %+.3f%% (load cost amortised)\n" large_avg
     large_max;
   Report.record ~suite:"fig7" ~metric:"e2e_overhead_large_avg" ~unit_:"%" large_avg;
-  Report.record ~suite:"fig7" ~metric:"e2e_overhead_large_max" ~unit_:"%" large_max
+  Report.record ~suite:"fig7" ~metric:"e2e_overhead_large_max" ~unit_:"%" large_max;
+  let words_per_inst = speed.words /. speed.insts in
+  Printf.printf "simulator: %.1f M instructions in plain runs, %.3f words allocated per instruction\n"
+    (speed.insts /. 1e6) words_per_inst;
+  Report.record ~suite:"fig7" ~metric:"sim_alloc_words_per_inst" ~unit_:"words" words_per_inst
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (beyond the paper's figures)                              *)

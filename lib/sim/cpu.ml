@@ -31,58 +31,80 @@ type status = Running | Exited of int | Faulted of string | Integrity_fault of s
 
 exception Integrity_violation of string
 
+(* One predecoded parcel: the instruction that starts there, its size
+   in bytes and the bitmask of the registers it reads (for the load-use
+   check). *)
+type decoded = { inst : Inst.t; size : int; uses : int }
+
+let undecoded = { inst = Inst.Fence; size = 0; uses = 0 }
+
+(* Decode slots of a memory page nothing was fetched from yet. *)
+let no_slots : decoded array = [||]
+
+let page_size = 1 lsl Memory.page_bits
+let parcels_per_page = page_size / 2
+
 type t = {
-  regs : int64 array;
+  regs : Bytes.t;  (** x0..x31, eight bytes each *)
   mutable pc_ : int;
   memory : Memory.t;
   icache_ : Cache.t;
   dcache_ : Cache.t;
   timing : timing;
-  mutable cycles_ : int64;
-  mutable instret : int64;
+  mutable cycles_ : int;
+  mutable instret : int;
   mutable status_ : status;
-  mutable last_load_dest : Reg.t option;
+  mutable load_dest : int;
+      (** bitmask of the register the previous instruction loaded, 0 when
+          it was not a load *)
   mutable trace : (pc:int -> Inst.t -> unit) option;
   mutable on_store : (addr:int -> len:int -> unit) option;
   mutable on_ifetch_miss : (addr:int -> int) option;
   predictor : int array option;  (** bimodal 2-bit counters, pc-indexed *)
   out : Buffer.t;
-  decode_cache : (int, Inst.t * int) Hashtbl.t;
+  decoded : decoded array array;
+      (** per memory page, one slot per parcel; [undecoded] until the
+          parcel is fetched, and again after a store overlaps it *)
 }
+
+let get t (r : Reg.t) = Bytes.get_int64_ne t.regs ((r :> int) lsl 3) [@@inline]
+
+let put t (r : Reg.t) v =
+  let r = (r :> int) in
+  if r <> 0 then Bytes.set_int64_ne t.regs (r lsl 3) v
+[@@inline]
 
 let create ?(timing = default_timing) ?(icache = Cache.table1_config)
     ?(dcache = Cache.table1_config) ?(branch_predictor = false) ~memory ~pc ~sp () =
   let t =
     {
-      regs = Array.make 32 0L;
+      regs = Bytes.make (32 * 8) '\000';
       pc_ = pc;
       memory;
       icache_ = Cache.create icache;
       dcache_ = Cache.create dcache;
       timing;
-      cycles_ = 0L;
-      instret = 0L;
+      cycles_ = 0;
+      instret = 0;
       status_ = Running;
-      last_load_dest = None;
+      load_dest = 0;
       trace = None;
       on_store = None;
       on_ifetch_miss = None;
       predictor = (if branch_predictor then Some (Array.make 512 1) else None);
       out = Buffer.create 256;
-      decode_cache = Hashtbl.create 1024;
+      decoded = Array.make ((Memory.size memory + page_size - 1) / page_size) no_slots;
     }
   in
-  t.regs.(Reg.to_int Reg.sp) <- Int64.of_int sp;
+  put t Reg.sp (Int64.of_int sp);
   t
 
-let reg t r = t.regs.(Reg.to_int r)
-
-let set_reg t r v = if Reg.to_int r <> 0 then t.regs.(Reg.to_int r) <- v
-
+let reg t r = get t r
+let set_reg t r v = put t r v
 let pc t = t.pc_
 let set_pc t pc = t.pc_ <- pc
-let cycles t = t.cycles_
-let instructions t = t.instret
+let cycles t = Int64.of_int t.cycles_
+let instructions t = Int64.of_int t.instret
 let icache t = t.icache_
 let dcache t = t.dcache_
 let output t = Buffer.contents t.out
@@ -92,20 +114,13 @@ let set_trace t hook = t.trace <- hook
 let set_store_hook t hook = t.on_store <- hook
 let set_ifetch_miss_hook t hook = t.on_ifetch_miss <- hook
 
-let add_cycles t n = t.cycles_ <- Int64.add t.cycles_ (Int64.of_int n)
-let charge = add_cycles
+let charge t n = t.cycles_ <- t.cycles_ + n
 
 let fault_integrity t msg = t.status_ <- Integrity_fault msg
 
-let charge_cache t cache ~addr ~write =
-  match Cache.access cache ~addr ~write with
-  | Cache.Hit -> ()
-  | Cache.Miss { writeback } ->
-    let penalty =
-      (if cache == t.icache_ then t.timing.icache_miss_penalty else t.timing.dcache_miss_penalty)
-      + if writeback then t.timing.writeback_penalty else 0
-    in
-    add_cycles t penalty
+let miss_penalty t penalty = function
+  | Cache.Hit -> 0
+  | Cache.Miss { writeback } -> penalty + if writeback then t.timing.writeback_penalty else 0
 
 (* I-side fetch charge: on a miss the line is filled from memory, which
    is where a fetch-checking integrity guard re-hashes the granule being
@@ -113,19 +128,28 @@ let charge_cache t cache ~addr ~write =
 let charge_ifetch t ~addr =
   match Cache.access t.icache_ ~addr ~write:false with
   | Cache.Hit -> ()
-  | Cache.Miss { writeback } ->
-    add_cycles t
-      (t.timing.icache_miss_penalty + if writeback then t.timing.writeback_penalty else 0);
+  | miss ->
+    charge t (miss_penalty t t.timing.icache_miss_penalty miss);
     (match t.on_ifetch_miss with
-    | Some hook -> add_cycles t (hook ~addr)
+    | Some hook -> charge t (hook ~addr)
     | None -> ())
+
+let charge_dcache t ~addr ~write =
+  charge t (miss_penalty t t.timing.dcache_miss_penalty (Cache.access t.dcache_ ~addr ~write))
 
 (* ------------------------------------------------------------------ *)
 (* 64-bit arithmetic helpers                                           *)
 (* ------------------------------------------------------------------ *)
 
-let sext32 v = Int64.of_int32 (Int64.to_int32 v)
+(* All inlined, and the [exec_*] functions write the destination in every
+   branch (a match returning the value would box it): register values
+   stay unboxed from read to write. *)
+
+let sext32 v = Int64.of_int32 (Int64.to_int32 v) [@@inline]
 let low32_mask = 0xFFFFFFFFL
+let ult (a : int64) b = Int64.sub a Int64.min_int < Int64.sub b Int64.min_int [@@inline]
+let bit c = if c then 1L else 0L [@@inline]
+let shamt b mask = Int64.to_int b land mask [@@inline]
 
 let mulhu a b =
   let open Int64 in
@@ -137,105 +161,108 @@ let mulhu a b =
   let hh = mul ah bh in
   let mid = add (add lh (shift_right_logical ll 32)) (logand hl low32_mask) in
   add (add hh (shift_right_logical hl 32)) (shift_right_logical mid 32)
+[@@inline]
 
 let mulh a b =
-  let open Int64 in
   let r = mulhu a b in
-  let r = if compare a 0L < 0 then sub r b else r in
-  if compare b 0L < 0 then sub r a else r
+  let r = if a < 0L then Int64.sub r b else r in
+  if b < 0L then Int64.sub r a else r
+[@@inline]
 
 let mulhsu a b =
-  let open Int64 in
   let r = mulhu a b in
-  if compare a 0L < 0 then sub r b else r
+  if a < 0L then Int64.sub r b else r
+[@@inline]
 
 let div_signed a b =
-  if b = 0L then -1L
-  else if a = Int64.min_int && b = -1L then Int64.min_int
-  else Int64.div a b
+  if b = 0L then -1L else if a = Int64.min_int && b = -1L then Int64.min_int else Int64.div a b
+[@@inline]
 
 let rem_signed a b =
   if b = 0L then a else if a = Int64.min_int && b = -1L then 0L else Int64.rem a b
+[@@inline]
 
-let div_unsigned a b = if b = 0L then -1L else Int64.unsigned_div a b
-let rem_unsigned a b = if b = 0L then a else Int64.unsigned_rem a b
+let div_unsigned a b = if b = 0L then -1L else Int64.unsigned_div a b [@@inline]
+let rem_unsigned a b = if b = 0L then a else Int64.unsigned_rem a b [@@inline]
 
-let bool_to_i64 c = if c then 1L else 0L
-
-let exec_r (op : Inst.r_op) a b =
+let exec_r t (op : Inst.r_op) rd a b =
   let open Int64 in
   match op with
-  | Add -> add a b
-  | Sub -> sub a b
-  | Sll -> shift_left a (to_int (logand b 63L))
-  | Slt -> bool_to_i64 (compare a b < 0)
-  | Sltu -> bool_to_i64 (unsigned_compare a b < 0)
-  | Xor -> logxor a b
-  | Srl -> shift_right_logical a (to_int (logand b 63L))
-  | Sra -> shift_right a (to_int (logand b 63L))
-  | Or -> logor a b
-  | And -> logand a b
-  | Addw -> sext32 (add a b)
-  | Subw -> sext32 (sub a b)
-  | Sllw -> sext32 (shift_left a (to_int (logand b 31L)))
-  | Srlw -> sext32 (shift_right_logical (logand a low32_mask) (to_int (logand b 31L)))
-  | Sraw -> sext32 (shift_right (sext32 a) (to_int (logand b 31L)))
-  | Mul -> mul a b
-  | Mulh -> mulh a b
-  | Mulhsu -> mulhsu a b
-  | Mulhu -> mulhu a b
-  | Div -> div_signed a b
-  | Divu -> div_unsigned a b
-  | Rem -> rem_signed a b
-  | Remu -> rem_unsigned a b
-  | Mulw -> sext32 (mul a b)
+  | Add -> put t rd (add a b)
+  | Sub -> put t rd (sub a b)
+  | Sll -> put t rd (shift_left a (shamt b 63))
+  | Slt -> put t rd (bit (a < b))
+  | Sltu -> put t rd (bit (ult a b))
+  | Xor -> put t rd (logxor a b)
+  | Srl -> put t rd (shift_right_logical a (shamt b 63))
+  | Sra -> put t rd (shift_right a (shamt b 63))
+  | Or -> put t rd (logor a b)
+  | And -> put t rd (logand a b)
+  | Addw -> put t rd (sext32 (add a b))
+  | Subw -> put t rd (sext32 (sub a b))
+  | Sllw -> put t rd (sext32 (shift_left a (shamt b 31)))
+  | Srlw -> put t rd (sext32 (shift_right_logical (logand a low32_mask) (shamt b 31)))
+  | Sraw -> put t rd (sext32 (shift_right (sext32 a) (shamt b 31)))
+  | Mul -> put t rd (mul a b)
+  | Mulh -> put t rd (mulh a b)
+  | Mulhsu -> put t rd (mulhsu a b)
+  | Mulhu -> put t rd (mulhu a b)
+  | Div -> put t rd (div_signed a b)
+  | Divu -> put t rd (div_unsigned a b)
+  | Rem -> put t rd (rem_signed a b)
+  | Remu -> put t rd (rem_unsigned a b)
+  | Mulw -> put t rd (sext32 (mul a b))
   | Divw ->
     let a32 = sext32 a and b32 = sext32 b in
-    if b32 = 0L then -1L
-    else if a32 = Int64.of_int32 Int32.min_int && b32 = -1L then sext32 a32
-    else sext32 (div a32 b32)
+    if b32 = 0L then put t rd (-1L)
+    else if a32 = of_int32 Int32.min_int && b32 = -1L then put t rd (sext32 a32)
+    else put t rd (sext32 (div a32 b32))
   | Divuw ->
     let a32 = logand a low32_mask and b32 = logand b low32_mask in
-    if b32 = 0L then -1L else sext32 (Int64.unsigned_div a32 b32)
+    if b32 = 0L then put t rd (-1L) else put t rd (sext32 (unsigned_div a32 b32))
   | Remw ->
     let a32 = sext32 a and b32 = sext32 b in
-    if b32 = 0L then a32
-    else if a32 = Int64.of_int32 Int32.min_int && b32 = -1L then 0L
-    else sext32 (rem a32 b32)
+    if b32 = 0L then put t rd a32
+    else if a32 = of_int32 Int32.min_int && b32 = -1L then put t rd 0L
+    else put t rd (sext32 (rem a32 b32))
   | Remuw ->
     let a32 = logand a low32_mask and b32 = logand b low32_mask in
-    if b32 = 0L then sext32 a32 else sext32 (Int64.unsigned_rem a32 b32)
+    if b32 = 0L then put t rd (sext32 a32) else put t rd (sext32 (unsigned_rem a32 b32))
+[@@inline]
 
-let exec_i (op : Inst.i_op) a imm =
+let exec_i t (op : Inst.i_op) rd a imm =
   let open Int64 in
   let b = of_int imm in
   match op with
-  | Addi -> add a b
-  | Slti -> bool_to_i64 (compare a b < 0)
-  | Sltiu -> bool_to_i64 (unsigned_compare a b < 0)
-  | Xori -> logxor a b
-  | Ori -> logor a b
-  | Andi -> logand a b
-  | Addiw -> sext32 (add a b)
+  | Addi -> put t rd (add a b)
+  | Slti -> put t rd (bit (a < b))
+  | Sltiu -> put t rd (bit (ult a b))
+  | Xori -> put t rd (logxor a b)
+  | Ori -> put t rd (logor a b)
+  | Andi -> put t rd (logand a b)
+  | Addiw -> put t rd (sext32 (add a b))
+[@@inline]
 
-let exec_shift (op : Inst.shift_op) a sh =
+let exec_shift t (op : Inst.shift_op) rd a sh =
   let open Int64 in
   match op with
-  | Slli -> shift_left a sh
-  | Srli -> shift_right_logical a sh
-  | Srai -> shift_right a sh
-  | Slliw -> sext32 (shift_left a sh)
-  | Srliw -> sext32 (shift_right_logical (logand a low32_mask) sh)
-  | Sraiw -> sext32 (shift_right (sext32 a) sh)
+  | Slli -> put t rd (shift_left a sh)
+  | Srli -> put t rd (shift_right_logical a sh)
+  | Srai -> put t rd (shift_right a sh)
+  | Slliw -> put t rd (sext32 (shift_left a sh))
+  | Srliw -> put t rd (sext32 (shift_right_logical (logand a low32_mask) sh))
+  | Sraiw -> put t rd (sext32 (shift_right (sext32 a) sh))
+[@@inline]
 
-let branch_taken (op : Inst.branch_op) a b =
+let branch_taken (op : Inst.branch_op) (a : int64) b =
   match op with
-  | Beq -> Int64.equal a b
-  | Bne -> not (Int64.equal a b)
-  | Blt -> Int64.compare a b < 0
-  | Bge -> Int64.compare a b >= 0
-  | Bltu -> Int64.unsigned_compare a b < 0
-  | Bgeu -> Int64.unsigned_compare a b >= 0
+  | Beq -> a = b
+  | Bne -> a <> b
+  | Blt -> a < b
+  | Bge -> a >= b
+  | Bltu -> ult a b
+  | Bgeu -> not (ult a b)
+[@@inline]
 
 (* ------------------------------------------------------------------ *)
 (* Fetch / decode                                                      *)
@@ -243,47 +270,83 @@ let branch_taken (op : Inst.branch_op) a b =
 
 exception Fault of string
 
+let decode_at t pc =
+  let half = Memory.read_u16 t.memory pc in
+  let inst, size =
+    if half land 0b11 = 0b11 then begin
+      let word = Memory.read_u32 t.memory pc in
+      match Decode.decode word with
+      | Some inst -> (inst, 4)
+      | None -> raise (Fault (Printf.sprintf "invalid instruction 0x%08lx at pc 0x%x" word pc))
+    end
+    else
+      match Rvc.expand half with
+      | Some inst -> (inst, 2)
+      | None -> raise (Fault (Printf.sprintf "invalid compressed parcel 0x%04x at pc 0x%x" half pc))
+  in
+  let uses = List.fold_left (fun m r -> m lor (1 lsl Reg.to_int r)) 0 (Inst.uses inst) in
+  { inst; size; uses }
+
 let fetch_decode t =
-  match Hashtbl.find_opt t.decode_cache t.pc_ with
-  | Some entry -> entry
-  | None ->
-    let half = Memory.read_u16 t.memory t.pc_ in
-    let entry =
-      if half land 0b11 = 0b11 then begin
-        let word = Memory.read_u32 t.memory t.pc_ in
-        match Decode.decode word with
-        | Some inst -> (inst, 4)
-        | None -> raise (Fault (Printf.sprintf "invalid instruction 0x%08lx at pc 0x%x" word t.pc_))
-      end
-      else
-        match Rvc.expand half with
-        | Some inst -> (inst, 2)
-        | None -> raise (Fault (Printf.sprintf "invalid compressed parcel 0x%04x at pc 0x%x" half t.pc_))
+  let pc = t.pc_ in
+  if pc land 1 = 0 && pc >= 0 && pc < Memory.size t.memory then begin
+    let page = pc lsr Memory.page_bits in
+    let slots =
+      match t.decoded.(page) with
+      | slots when slots == no_slots ->
+        let slots = Array.make parcels_per_page undecoded in
+        t.decoded.(page) <- slots;
+        slots
+      | slots -> slots
     in
-    Hashtbl.add t.decode_cache t.pc_ entry;
-    entry
+    let i = (pc lsr 1) land (parcels_per_page - 1) in
+    let d = slots.(i) in
+    if d != undecoded then d
+    else begin
+      let d = decode_at t pc in
+      slots.(i) <- d;
+      d
+    end
+  end
+  else decode_at t pc
 
-let load_value t (op : Inst.load_op) addr =
-  let open Int64 in
-  match op with
-  | Lb ->
-    let v = Memory.read_u8 t.memory addr in
-    of_int (if v land 0x80 <> 0 then v - 0x100 else v)
-  | Lbu -> of_int (Memory.read_u8 t.memory addr)
-  | Lh ->
-    let v = Memory.read_u16 t.memory addr in
-    of_int (if v land 0x8000 <> 0 then v - 0x10000 else v)
-  | Lhu -> of_int (Memory.read_u16 t.memory addr)
-  | Lw -> of_int32 (Memory.read_u32 t.memory addr)
-  | Lwu -> logand (of_int32 (Memory.read_u32 t.memory addr)) low32_mask
-  | Ld -> Memory.read_u64 t.memory addr
+(* A store over [addr, addr+len) drops every decode slot whose
+   instruction may overlap it, including a 4-byte one that starts in the
+   parcel before [addr]. *)
+let invalidate t ~addr ~len =
+  for p = max 0 ((addr - 2) asr 1) to (addr + len - 1) asr 1 do
+    let slots = t.decoded.(p / parcels_per_page) in
+    if slots != no_slots then slots.(p land (parcels_per_page - 1)) <- undecoded
+  done
 
-let store_value t (op : Inst.store_op) addr v =
+(* ------------------------------------------------------------------ *)
+(* Loads and stores                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The CPU faults misaligned accesses, so no access here straddles a
+   page. *)
+let offset addr = addr land (page_size - 1) [@@inline]
+
+let load t (op : Inst.load_op) rd addr =
+  let m = t.memory in
   match op with
-  | Sb -> Memory.write_u8 t.memory addr (Int64.to_int (Int64.logand v 0xFFL))
-  | Sh -> Memory.write_u16 t.memory addr (Int64.to_int (Int64.logand v 0xFFFFL))
-  | Sw -> Memory.write_u32 t.memory addr (Int64.to_int32 v)
-  | Sd -> Memory.write_u64 t.memory addr v
+  | Lb -> put t rd (Int64.of_int (Bytes.get_int8 (Memory.read_page m addr 1) (offset addr)))
+  | Lbu -> put t rd (Int64.of_int (Bytes.get_uint8 (Memory.read_page m addr 1) (offset addr)))
+  | Lh -> put t rd (Int64.of_int (Bytes.get_int16_le (Memory.read_page m addr 2) (offset addr)))
+  | Lhu -> put t rd (Int64.of_int (Bytes.get_uint16_le (Memory.read_page m addr 2) (offset addr)))
+  | Lw -> put t rd (Int64.of_int32 (Bytes.get_int32_le (Memory.read_page m addr 4) (offset addr)))
+  | Lwu ->
+    let w = Bytes.get_int32_le (Memory.read_page m addr 4) (offset addr) in
+    put t rd (Int64.logand (Int64.of_int32 w) low32_mask)
+  | Ld -> put t rd (Bytes.get_int64_le (Memory.read_page m addr 8) (offset addr))
+
+let store t (op : Inst.store_op) addr src =
+  let m = t.memory and v = get t src in
+  match op with
+  | Sb -> Bytes.set_int8 (Memory.write_page m addr 1) (offset addr) (Int64.to_int v)
+  | Sh -> Bytes.set_int16_le (Memory.write_page m addr 2) (offset addr) (Int64.to_int v)
+  | Sw -> Bytes.set_int32_le (Memory.write_page m addr 4) (offset addr) (Int64.to_int32 v)
+  | Sd -> Bytes.set_int64_le (Memory.write_page m addr 8) (offset addr) v
 
 let alignment (op : Inst.load_op) =
   match op with Lb | Lbu -> 1 | Lh | Lhu -> 2 | Lw | Lwu -> 4 | Ld -> 8
@@ -300,12 +363,12 @@ let is_div (op : Inst.r_op) =
 (* ------------------------------------------------------------------ *)
 
 let syscall t =
-  let a n = t.regs.(Reg.to_int (Reg.a n)) in
+  let a n = get t (Reg.a n) in
   match Int64.to_int (a 7) with
   | 64 ->
     let addr = Int64.to_int (a 1) and len = Int64.to_int (a 2) in
     Buffer.add_bytes t.out (Memory.read_bytes t.memory ~addr ~len);
-    set_reg t (Reg.a 0) (Int64.of_int len);
+    put t (Reg.a 0) (Int64.of_int len);
     Sys_continue
   | 93 -> Sys_exit (Int64.to_int (a 0))
   | n -> raise (Fault (Printf.sprintf "unsupported syscall %d at pc 0x%x" n t.pc_))
@@ -314,100 +377,114 @@ let syscall t =
 (* Step                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let step t =
-  match t.status_ with
-  | Exited _ | Faulted _ | Integrity_fault _ -> ()
-  | Running -> (
-    try
-      (* The line fill precedes decode, as in silicon: a fetch-checking
-         integrity guard must get to refuse the granule before a
-         corrupted encoding can raise its own (less diagnosable) decode
-         fault. *)
-      charge_ifetch t ~addr:t.pc_;
-      let inst, size = fetch_decode t in
-      (match t.trace with Some hook -> hook ~pc:t.pc_ inst | None -> ());
-      add_cycles t 1;
-      (* Load-use hazard: stalls when an instruction consumes the result of
-         the immediately preceding load. *)
-      (match t.last_load_dest with
-      | Some dest when List.exists (Reg.equal dest) (Inst.uses inst) ->
-        add_cycles t t.timing.load_use_stall
-      | Some _ | None -> ());
-      t.last_load_dest <- None;
-      let next_pc = ref (t.pc_ + size) in
-      (match inst with
-      | Inst.R (op, rd, rs1, rs2) ->
-        if is_mul op then add_cycles t t.timing.mul_extra;
-        if is_div op then add_cycles t t.timing.div_extra;
-        set_reg t rd (exec_r op (reg t rs1) (reg t rs2))
-      | Inst.I (op, rd, rs1, imm) -> set_reg t rd (exec_i op (reg t rs1) imm)
-      | Inst.Shift (op, rd, rs1, sh) -> set_reg t rd (exec_shift op (reg t rs1) sh)
-      | Inst.U (Lui, rd, imm) -> set_reg t rd (Int64.of_int (imm lsl 12))
-      | Inst.U (Auipc, rd, imm) -> set_reg t rd (Int64.of_int (t.pc_ + (imm lsl 12)))
-      | Inst.Load (op, rd, base, off) ->
-        let addr = Int64.to_int (reg t base) + off in
-        if addr mod alignment op <> 0 then
-          raise (Fault (Printf.sprintf "misaligned load at 0x%x (pc 0x%x)" addr t.pc_));
-        charge_cache t t.dcache_ ~addr ~write:false;
-        set_reg t rd (load_value t op addr);
-        t.last_load_dest <- Some rd
-      | Inst.Store (op, src, base, off) ->
-        let addr = Int64.to_int (reg t base) + off in
-        if addr mod store_alignment op <> 0 then
-          raise (Fault (Printf.sprintf "misaligned store at 0x%x (pc 0x%x)" addr t.pc_));
-        charge_cache t t.dcache_ ~addr ~write:true;
-        store_value t op addr (reg t src);
-        (match t.on_store with
-        | Some hook -> hook ~addr ~len:(store_alignment op)
-        | None -> ())
-      | Inst.Branch (op, rs1, rs2, off) ->
-        let taken = branch_taken op (reg t rs1) (reg t rs2) in
-        if taken then next_pc := t.pc_ + off;
-        (match t.predictor with
-        | None -> if taken then add_cycles t t.timing.taken_branch_penalty
-        | Some counters ->
-          (* Bimodal 2-bit saturating counters: penalty on mispredict only. *)
-          let slot = (t.pc_ lsr 1) land (Array.length counters - 1) in
-          let predicted_taken = counters.(slot) >= 2 in
-          if predicted_taken <> taken then add_cycles t t.timing.taken_branch_penalty;
-          counters.(slot) <-
-            (if taken then min 3 (counters.(slot) + 1) else max 0 (counters.(slot) - 1)))
-      | Inst.Jal (rd, off) ->
-        set_reg t rd (Int64.of_int (t.pc_ + size));
-        next_pc := t.pc_ + off;
-        add_cycles t t.timing.jump_penalty
-      | Inst.Jalr (rd, rs1, imm) ->
-        let target = (Int64.to_int (reg t rs1) + imm) land lnot 1 in
-        set_reg t rd (Int64.of_int (t.pc_ + size));
-        next_pc := target;
-        add_cycles t t.timing.jalr_penalty
-      | Inst.Ecall -> (
-        match syscall t with
-        | Sys_continue -> ()
-        | Sys_exit code -> t.status_ <- Exited code)
-      | Inst.Ebreak -> raise (Fault (Printf.sprintf "ebreak at pc 0x%x" t.pc_))
-      | Inst.Fence -> ()
-      | Inst.Csrr (rd, csr) ->
-        let v =
-          match csr with
-          | 0xC00 -> t.cycles_
-          | 0xC01 -> Int64.div t.cycles_ 25L (* microseconds at the 25 MHz clock *)
-          | 0xC02 -> t.instret
-          | _ -> raise (Fault (Printf.sprintf "unsupported CSR 0x%x at pc 0x%x" csr t.pc_))
-        in
-        set_reg t rd v);
-      t.instret <- Int64.add t.instret 1L;
-      if t.status_ = Running then t.pc_ <- !next_pc
-    with
-    | Fault msg -> t.status_ <- Faulted msg
-    | Integrity_violation msg -> t.status_ <- Integrity_fault msg
-    | Memory.Trap msg -> t.status_ <- Faulted (msg ^ Printf.sprintf " (pc 0x%x)" t.pc_))
+let is_running t =
+  match t.status_ with Running -> true | Exited _ | Faulted _ | Integrity_fault _ -> false
 
+(* One instruction, raising [Fault], [Integrity_violation] or
+   [Memory.Trap] on a fault; [trapping] turns those into the status. *)
+let exec t =
+  let pc = t.pc_ in
+  (* The line fill precedes decode, as in silicon: a fetch-checking
+     integrity guard must get to refuse the granule before a corrupted
+     encoding can raise its own (less diagnosable) decode fault. *)
+  charge_ifetch t ~addr:pc;
+  let d = fetch_decode t in
+  (match t.trace with Some hook -> hook ~pc d.inst | None -> ());
+  (* Load-use hazard: stalls when an instruction consumes the result of
+     the immediately preceding load. *)
+  charge t (if d.uses land t.load_dest <> 0 then 1 + t.timing.load_use_stall else 1);
+  t.load_dest <- 0;
+  let next_pc =
+    match d.inst with
+    | Inst.R (op, rd, rs1, rs2) ->
+      if is_mul op then charge t t.timing.mul_extra;
+      if is_div op then charge t t.timing.div_extra;
+      exec_r t op rd (get t rs1) (get t rs2);
+      pc + d.size
+    | Inst.I (op, rd, rs1, imm) ->
+      exec_i t op rd (get t rs1) imm;
+      pc + d.size
+    | Inst.Shift (op, rd, rs1, sh) ->
+      exec_shift t op rd (get t rs1) sh;
+      pc + d.size
+    | Inst.U (Lui, rd, imm) ->
+      put t rd (Int64.of_int (imm lsl 12));
+      pc + d.size
+    | Inst.U (Auipc, rd, imm) ->
+      put t rd (Int64.of_int (pc + (imm lsl 12)));
+      pc + d.size
+    | Inst.Load (op, rd, base, off) ->
+      let addr = Int64.to_int (get t base) + off in
+      if addr land (alignment op - 1) <> 0 then
+        raise (Fault (Printf.sprintf "misaligned load at 0x%x (pc 0x%x)" addr pc));
+      charge_dcache t ~addr ~write:false;
+      load t op rd addr;
+      t.load_dest <- 1 lsl (rd :> int);
+      pc + d.size
+    | Inst.Store (op, src, base, off) ->
+      let addr = Int64.to_int (get t base) + off in
+      let len = store_alignment op in
+      if addr land (len - 1) <> 0 then
+        raise (Fault (Printf.sprintf "misaligned store at 0x%x (pc 0x%x)" addr pc));
+      charge_dcache t ~addr ~write:true;
+      store t op addr src;
+      invalidate t ~addr ~len;
+      (match t.on_store with Some hook -> hook ~addr ~len | None -> ());
+      pc + d.size
+    | Inst.Branch (op, rs1, rs2, off) ->
+      let taken = branch_taken op (get t rs1) (get t rs2) in
+      (match t.predictor with
+      | None -> if taken then charge t t.timing.taken_branch_penalty
+      | Some counters ->
+        (* Bimodal 2-bit saturating counters: penalty on mispredict only. *)
+        let slot = (pc lsr 1) land (Array.length counters - 1) in
+        let predicted_taken = counters.(slot) >= 2 in
+        if predicted_taken <> taken then charge t t.timing.taken_branch_penalty;
+        counters.(slot) <-
+          (if taken then min 3 (counters.(slot) + 1) else max 0 (counters.(slot) - 1)));
+      if taken then pc + off else pc + d.size
+    | Inst.Jal (rd, off) ->
+      put t rd (Int64.of_int (pc + d.size));
+      charge t t.timing.jump_penalty;
+      pc + off
+    | Inst.Jalr (rd, rs1, imm) ->
+      let target = (Int64.to_int (get t rs1) + imm) land lnot 1 in
+      put t rd (Int64.of_int (pc + d.size));
+      charge t t.timing.jalr_penalty;
+      target
+    | Inst.Ecall ->
+      (match syscall t with
+      | Sys_continue -> ()
+      | Sys_exit code -> t.status_ <- Exited code);
+      pc + d.size
+    | Inst.Ebreak -> raise (Fault (Printf.sprintf "ebreak at pc 0x%x" pc))
+    | Inst.Fence -> pc + d.size
+    | Inst.Csrr (rd, csr) ->
+      (match csr with
+      | 0xC00 -> put t rd (Int64.of_int t.cycles_)
+      | 0xC01 -> put t rd (Int64.of_int (t.cycles_ / 25)) (* microseconds at the 25 MHz clock *)
+      | 0xC02 -> put t rd (Int64.of_int t.instret)
+      | _ -> raise (Fault (Printf.sprintf "unsupported CSR 0x%x at pc 0x%x" csr pc)));
+      pc + d.size
+  in
+  t.instret <- t.instret + 1;
+  if is_running t then t.pc_ <- next_pc
+
+let trapping t body =
+  try body t with
+  | Fault msg -> t.status_ <- Faulted msg
+  | Integrity_violation msg -> t.status_ <- Integrity_fault msg
+  | Memory.Trap msg -> t.status_ <- Faulted (msg ^ Printf.sprintf " (pc 0x%x)" t.pc_)
+
+let step t = if is_running t then trapping t exec
+
+(* One handler for the whole run: a fault ends the run anyway. *)
 let run ?(fuel = 50_000_000) t =
   let remaining = ref fuel in
-  while t.status_ = Running && !remaining > 0 do
-    step t;
-    decr remaining
-  done;
-  if t.status_ = Running then t.status_ <- Faulted "out of fuel";
+  trapping t (fun t ->
+      while is_running t && !remaining > 0 do
+        exec t;
+        decr remaining
+      done);
+  if is_running t then t.status_ <- Faulted "out of fuel";
   t.status_

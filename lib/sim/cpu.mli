@@ -6,7 +6,12 @@
     is approximate but shaped like the real pipeline: one instruction per
     cycle, plus stalls for load-use hazards, taken control flow, long-latency
     multiply/divide, and cache misses.  Fig 7 only needs relative execution
-    times, for which this class of model is standard. *)
+    times, for which this class of model is standard.
+
+    Fetched instructions are predecoded once per parcel.  Every store the
+    core executes drops the predecode of the bytes it overwrites, so code
+    that rewrites itself runs the new bytes; writes made to the
+    {!Memory.t} directly must come before the core first fetches them. *)
 
 type timing = {
   icache_miss_penalty : int;

@@ -37,6 +37,106 @@ let test_memory_blit_fill () =
   Memory.fill m ~addr:8 ~len:2 'z';
   check Alcotest.string "fill" "zzc" (Bytes.to_string (Memory.read_bytes m ~addr:8 ~len:3))
 
+type mem_op =
+  | Read of int * int  (** width, address *)
+  | Write of int * int * int64
+  | Blit of int * string
+  | Read_bytes of int * int
+  | Fill of int * int * char
+
+(* Each operation's observable result: the value read, or the trap. *)
+let outcome f = try Ok (f ()) with Memory.Trap msg -> Error msg
+
+let paged_op m = function
+  | Read (1, a) -> Int64.of_int (Memory.read_u8 m a) |> Int64.to_string
+  | Read (2, a) -> Int64.of_int (Memory.read_u16 m a) |> Int64.to_string
+  | Read (4, a) -> Int64.of_int32 (Memory.read_u32 m a) |> Int64.to_string
+  | Read (_, a) -> Memory.read_u64 m a |> Int64.to_string
+  | Write (1, a, v) -> Memory.write_u8 m a (Int64.to_int v); ""
+  | Write (2, a, v) -> Memory.write_u16 m a (Int64.to_int v); ""
+  | Write (4, a, v) -> Memory.write_u32 m a (Int64.to_int32 v); ""
+  | Write (_, a, v) -> Memory.write_u64 m a v; ""
+  | Blit (a, s) -> Memory.blit_bytes m ~addr:a (Bytes.of_string s); ""
+  | Read_bytes (a, len) -> Bytes.to_string (Memory.read_bytes m ~addr:a ~len)
+  | Fill (a, len, c) -> Memory.fill m ~addr:a ~len c; ""
+
+(* The flat memory the paged one replaced, kept as the reference model:
+   one [Bytes] for the whole address space, every access bounds-checked. *)
+let flat_op flat op =
+  let check addr len =
+    if addr < 0 || len < 0 || addr + len > Bytes.length flat then
+      raise (Memory.Trap (Printf.sprintf "memory access out of bounds: 0x%x (+%d)" addr len))
+  in
+  match op with
+  | Read (w, a) ->
+    check a w;
+    Int64.to_string
+      (match w with
+      | 1 -> Int64.of_int (Bytes.get_uint8 flat a)
+      | 2 -> Int64.of_int (Bytes.get_uint16_le flat a)
+      | 4 -> Int64.of_int32 (Bytes.get_int32_le flat a)
+      | _ -> Bytes.get_int64_le flat a)
+  | Write (w, a, v) ->
+    check a w;
+    (match w with
+    | 1 -> Bytes.set_uint8 flat a (Int64.to_int v land 0xFF)
+    | 2 -> Bytes.set_uint16_le flat a (Int64.to_int v land 0xFFFF)
+    | 4 -> Bytes.set_int32_le flat a (Int64.to_int32 v)
+    | _ -> Bytes.set_int64_le flat a v);
+    ""
+  | Blit (a, s) ->
+    check a (String.length s);
+    Bytes.blit_string s 0 flat a (String.length s);
+    ""
+  | Read_bytes (a, len) ->
+    check a len;
+    Bytes.sub_string flat a len
+  | Fill (a, len, c) ->
+    check a len;
+    Bytes.fill flat a len c;
+    ""
+
+let page_bytes = 1 lsl Memory.page_bits
+let paged_size = (3 * page_bytes) + 100
+
+let mem_op_gen =
+  let open QCheck.Gen in
+  (* Uniform addresses, plus addresses crowding the page boundaries (and
+     both ends of memory), where straddling accesses live. *)
+  let addr =
+    frequency
+      [ (1, int_range (-16) (paged_size + 16));
+        (2, map2 (fun k d -> (k * page_bytes) + d) (int_range 0 3) (int_range (-9) 9));
+        (1, map (fun d -> paged_size - d) (int_range (-4) 12)) ]
+  in
+  let width = oneofl [ 1; 2; 4; 8 ] in
+  let len = int_range (-2) (page_bytes + 24) in
+  frequency
+    [ (4, map2 (fun w a -> Read (w, a)) width addr);
+      (4, map3 (fun w a v -> Write (w, a, v)) width addr ui64);
+      (1, map2 (fun a n -> Blit (a, String.make (abs n) 'b')) addr len);
+      (1, map2 (fun a n -> Read_bytes (a, n)) addr len);
+      (1, map3 (fun a n c -> Fill (a, n, c)) addr len (oneofl [ '\000'; 'f' ])) ]
+
+let show_mem_op = function
+  | Read (w, a) -> Printf.sprintf "read%d 0x%x" w a
+  | Write (w, a, v) -> Printf.sprintf "write%d 0x%x %Ld" w a v
+  | Blit (a, s) -> Printf.sprintf "blit 0x%x (+%d)" a (String.length s)
+  | Read_bytes (a, n) -> Printf.sprintf "read_bytes 0x%x (+%d)" a n
+  | Fill (a, n, c) -> Printf.sprintf "fill 0x%x (+%d) %C" a n c
+
+let paged_memory_matches_flat =
+  qtest ~count:200 "paged memory = flat reference"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) mem_op_gen))
+    (fun ops ->
+      let m = Memory.create ~size:paged_size and flat = Bytes.make paged_size '\000' in
+      List.for_all
+        (fun op -> outcome (fun () -> paged_op m op) = outcome (fun () -> flat_op flat op))
+        ops
+      && Bytes.equal (Memory.read_bytes m ~addr:0 ~len:paged_size) flat)
+
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -89,6 +189,102 @@ let test_cache_table1_geometry () =
   let c = Cache.create Cache.table1_config in
   check Alcotest.int "16 KiB" (16 * 1024) (Cache.config c).Cache.size_bytes;
   check Alcotest.int "4-way" 4 (Cache.config c).Cache.ways
+
+(* The record-per-way cache model the flat-array one replaced, kept as
+   the reference: same geometry, same true-LRU and write-back policy. *)
+module Ref_cache = struct
+  type way = { mutable tag : int; mutable valid : bool; mutable dirty : bool; mutable age : int }
+
+  type t = { sets : way array array; stats : Cache.stats; mutable clock : int; line_bytes : int }
+
+  let create (cfg : Cache.config) =
+    let nsets = cfg.size_bytes / cfg.line_bytes / cfg.ways in
+    { sets =
+        Array.init nsets (fun _ ->
+            Array.init cfg.ways (fun _ -> { tag = 0; valid = false; dirty = false; age = 0 }));
+      stats = { Cache.accesses = 0; hits = 0; misses = 0; writebacks = 0 };
+      clock = 0;
+      line_bytes = cfg.line_bytes }
+
+  let access t ~addr ~write =
+    let s = t.stats in
+    s.accesses <- s.accesses + 1;
+    t.clock <- t.clock + 1;
+    let line = addr / t.line_bytes in
+    let nsets = Array.length t.sets in
+    let set = t.sets.(line land (nsets - 1)) in
+    let tag = line / nsets in
+    match List.find_opt (fun w -> w.valid && w.tag = tag) (Array.to_list set) with
+    | Some w ->
+      s.hits <- s.hits + 1;
+      w.age <- t.clock;
+      if write then w.dirty <- true;
+      Cache.Hit
+    | None ->
+      s.misses <- s.misses + 1;
+      let victim =
+        match List.find_opt (fun w -> not w.valid) (Array.to_list set) with
+        | Some w -> w
+        | None -> Array.fold_left (fun best w -> if w.age < best.age then w else best) set.(0) set
+      in
+      let writeback = victim.valid && victim.dirty in
+      if writeback then s.writebacks <- s.writebacks + 1;
+      victim.tag <- tag;
+      victim.valid <- true;
+      victim.dirty <- write;
+      victim.age <- t.clock;
+      Cache.Miss { writeback }
+
+  let flush t =
+    Array.iter
+      (Array.iter (fun w ->
+           w.valid <- false;
+           w.dirty <- false;
+           w.age <- 0))
+      t.sets
+end
+
+type cache_op = Access of int * bool | Flush
+
+let cache_geometries =
+  [ { Cache.size_bytes = 256; ways = 1; line_bytes = 32 };
+    { Cache.size_bytes = 512; ways = 2; line_bytes = 64 };
+    { Cache.size_bytes = 256; ways = 4; line_bytes = 16 };
+    { Cache.size_bytes = 1024; ways = 4; line_bytes = 32 };
+    { Cache.size_bytes = 2048; ways = 8; line_bytes = 64 } ]
+
+let flat_cache_matches_reference =
+  let gen =
+    let open QCheck.Gen in
+    (* Small address ranges force conflicts and evictions; a few wild
+       negative addresses pin the rounding of their line and tag. *)
+    let addr = frequency [ (8, int_range 0 4096); (1, int_range (-600) (-1)) ] in
+    pair (oneofl cache_geometries)
+      (list_size (int_range 1 400)
+         (frequency [ (40, map2 (fun a w -> Access (a, w)) addr bool); (1, return Flush) ]))
+  in
+  let print ((cfg : Cache.config), ops) =
+    Printf.sprintf "%dB %d-way %dB lines: %s" cfg.size_bytes cfg.ways cfg.line_bytes
+      (String.concat " "
+         (List.map
+            (function
+              | Access (a, w) -> Printf.sprintf "%s%d" (if w then "w" else "r") a
+              | Flush -> "flush")
+            ops))
+  in
+  let counts (s : Cache.stats) = (s.accesses, s.hits, s.misses, s.writebacks) in
+  qtest ~count:300 "flat-array cache = record reference" (QCheck.make ~print gen)
+    (fun (cfg, ops) ->
+      let c = Cache.create cfg and r = Ref_cache.create cfg in
+      List.for_all
+        (function
+          | Access (addr, write) -> Cache.access c ~addr ~write = Ref_cache.access r ~addr ~write
+          | Flush ->
+            Cache.flush c;
+            Ref_cache.flush r;
+            true)
+        ops
+      && counts (Cache.stats c) = counts r.Ref_cache.stats)
 
 (* ------------------------------------------------------------------ *)
 (* CPU semantics                                                       *)
@@ -362,6 +558,49 @@ let test_csr_counters () =
   | _ -> Alcotest.fail "did not exit")
 
 (* ------------------------------------------------------------------ *)
+(* Self-modifying code                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Runs [addi a0, x0, 1] once, then overwrites it with [store] and jumps
+   back: an unguarded CPU must execute the new bytes, not a decode of
+   the old ones.  The exit code is the a0 of the second pass. *)
+let rerun_after_store store =
+  let a n = Reg.a n in
+  let li rd v =
+    let hi = (v + 0x800) asr 12 in
+    [ Inst.U (Lui, rd, hi); Inst.I (Addiw, rd, rd, v - (hi lsl 12)) ]
+  in
+  let value, st = store in
+  let image =
+    build_program
+      ([ Inst.I (Addi, a 0, Reg.x0, 1);
+         Inst.I (Addi, Reg.t_ 0, Reg.t_ 0, 1);
+         Inst.I (Addi, Reg.t_ 1, Reg.x0, 2);
+         Inst.Branch (Beq, Reg.t_ 0, Reg.t_ 1, 24);
+         Inst.U (Lui, a 1, 0x10) (* a1 = text base *) ]
+      @ li (a 2) value
+      @ [ st (a 2) (a 1); Inst.Jal (Reg.x0, -32) ]
+      @ [ Inst.I (Addi, a 7, Reg.x0, 93); Inst.Ecall ])
+  in
+  match (Soc.run_program image).Soc.status with
+  | Cpu.Exited code -> code
+  | Cpu.Faulted m | Cpu.Integrity_fault m -> Alcotest.failf "self-modifying program faulted: %s" m
+  | Cpu.Running -> Alcotest.fail "self-modifying program did not finish"
+
+let addi_a0 v = Int32.to_int (Encode.encode (Inst.I (Addi, Reg.a 0, Reg.x0, v)))
+
+let test_store_over_executed_instruction () =
+  check Alcotest.int "rewritten instruction runs" 2
+    (rerun_after_store (addi_a0 2, fun src base -> Inst.Store (Sw, src, base, 0)))
+
+let test_store_over_upper_parcel () =
+  (* The store covers only bytes 2-3 of the 4-byte instruction, whose
+     decode sits in the parcel before the store address. *)
+  check Alcotest.int "rewritten upper half runs" 7
+    (rerun_after_store
+       ((addi_a0 7 lsr 16) land 0xFFFF, fun src base -> Inst.Store (Sh, src, base, 2)))
+
+(* ------------------------------------------------------------------ *)
 (* Integrity guard runtime                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -478,14 +717,16 @@ let () =
     [ ( "memory",
         [ Alcotest.test_case "read/write" `Quick test_memory_rw;
           Alcotest.test_case "bounds" `Quick test_memory_bounds;
-          Alcotest.test_case "blit/fill" `Quick test_memory_blit_fill ] );
+          Alcotest.test_case "blit/fill" `Quick test_memory_blit_fill;
+          paged_memory_matches_flat ] );
       ( "cache",
         [ Alcotest.test_case "hit after fill" `Quick test_cache_hit_after_fill;
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "writeback" `Quick test_cache_writeback;
           Alcotest.test_case "flush" `Quick test_cache_flush;
           Alcotest.test_case "geometry validation" `Quick test_cache_geometry_validation;
-          Alcotest.test_case "table1 geometry" `Quick test_cache_table1_geometry ] );
+          Alcotest.test_case "table1 geometry" `Quick test_cache_table1_geometry;
+          flat_cache_matches_reference ] );
       ( "cpu-semantics",
         [ Alcotest.test_case "div corner cases" `Quick test_div_corner_cases;
           Alcotest.test_case "mulh identities" `Quick test_mulh_identities;
@@ -509,6 +750,10 @@ let () =
           Alcotest.test_case "plain load cycles" `Quick test_plain_load_cycles;
           Alcotest.test_case "branch predictor" `Quick test_branch_predictor;
           Alcotest.test_case "csr counters" `Quick test_csr_counters ] );
+      ( "self-modifying code",
+        [ Alcotest.test_case "store over executed instruction" `Quick
+            test_store_over_executed_instruction;
+          Alcotest.test_case "store over upper parcel" `Quick test_store_over_upper_parcel ] );
       ( "integrity",
         [ Alcotest.test_case "clean run equivalent" `Quick test_guard_clean_run_equivalent;
           Alcotest.test_case "fetch check beats decode" `Quick

@@ -550,6 +550,103 @@ let test_ir_interpreter_agrees () =
         | _ -> Alcotest.fail (name ^ " did not exit")))
     Eric_workloads.Workloads.names
 
+(* ------------------------------------------------------------------ *)
+(* Golden simulated counts                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every simulated number of every workload on both datasets, recorded
+   from the simulator before its core was rewritten for speed: the
+   rewrite must be invisible to the cycle model.  Columns: workload,
+   dataset, instructions, exec cycles, I-cache and D-cache
+   (accesses, hits, misses, writebacks), exit code, MD5 of the output. *)
+let golden_runs =
+  [ ( "basicmath", "small", 55676L, 104520L,
+      (55676, 55663, 13, 0), (5009, 4988, 21, 0), 0, "9b1fd9c8d5ee1c357d453dfe7832f70f" );
+    ( "basicmath", "large", 4793509L, 24850219L,
+      (4793509, 4793496, 13, 0), (224490, 220249, 4241, 3914), 0, "85600a46569b1b3cb0aca1f75116f727" );
+    ( "bitcount", "small", 97100L, 112844L,
+      (97100, 97082, 18, 0), (4772, 4734, 38, 0), 0, "b6ad0dc0dd72136de36c0133b600ee50" );
+    ( "bitcount", "large", 12967590L, 14820988L,
+      (12967590, 12967572, 18, 0), (560860, 560822, 38, 0), 0, "70daa82fb2156e7717e1db4dc0805922" );
+    ( "qsort", "small", 63056L, 105556L,
+      (63056, 63036, 20, 0), (14854, 14813, 41, 0), 0, "069ec1c14401db628b748ddf401b1ddc" );
+    ( "qsort", "large", 1052039L, 1698423L,
+      (1052039, 1052019, 20, 0), (241853, 239975, 1878, 1090), 0, "f741bd1d1f07ba6b00e633353059eda2" );
+    ( "dijkstra", "small", 118640L, 213577L,
+      (118640, 118623, 17, 0), (8561, 8348, 213, 0), 0, "399d4fdb2196513d175ef079149fca10" );
+    ( "dijkstra", "large", 3471788L, 5290789L,
+      (3471788, 3471771, 17, 0), (309902, 299585, 10317, 1154), 0, "42f5c07a452775db45e41a7cf49ef0ea" );
+    ( "crc32", "small", 100180L, 118287L,
+      (100180, 100163, 17, 0), (3220, 3172, 48, 0), 0, "a0126569e2baed17eed9197ca22f4c82" );
+    ( "crc32", "large", 823977L, 953047L,
+      (823977, 823960, 17, 0), (51027, 50563, 464, 174), 0, "c04aa1cb73acf82c8e746a5ef0d63d04" );
+    ( "stringsearch", "small", 148301L, 216763L,
+      (148301, 148275, 26, 0), (13451, 13402, 49, 0), 0, "64ccc2acebb62671bae26801215ca1a8" );
+    ( "stringsearch", "large", 1427356L, 2126422L,
+      (1427356, 1427330, 26, 0), (125139, 124974, 165, 0), 0, "64ccc2acebb62671bae26801215ca1a8" );
+    ( "sha", "small", 101616L, 124639L,
+      (101616, 101587, 29, 0), (8493, 8471, 22, 0), 0, "192fa1ae38160d711d1d0756ed44ac25" );
+    ( "sha", "large", 834773L, 973158L,
+      (834773, 834744, 29, 0), (67943, 67863, 80, 0), 0, "244eddc3a8d534a65f1fcabe81b769d4" );
+    ( "adpcm", "small", 104564L, 162406L,
+      (104564, 104540, 24, 0), (8536, 8381, 155, 0), 0, "d2434477b4e7344c99fda967a586a6f9" );
+    ( "adpcm", "large", 1112195L, 1770910L,
+      (1112195, 1112171, 24, 0), (90199, 86075, 4124, 1541), 0, "69e655f525b51a21fa58f09ee9d5dbf1" );
+    ( "rijndael", "small", 121733L, 181375L,
+      (121733, 121696, 37, 0), (18218, 18198, 20, 0), 0, "2f472ea7d52696c598c28150eb86e4fd" );
+    ( "rijndael", "large", 2165110L, 3209968L,
+      (2165110, 2165073, 37, 0), (356986, 356935, 51, 0), 0, "30c2a7729818e494f5e7e30c922ee4c8" );
+    ( "fft", "small", 307268L, 589173L,
+      (307268, 307239, 29, 0), (46895, 46786, 109, 0), 0, "7cc676aa3d62f1b57196cf08beb87d16" );
+    ( "fft", "large", 1811518L, 3329867L,
+      (1811518, 1811489, 29, 0), (283362, 283253, 109, 0), 0, "7cc676aa3d62f1b57196cf08beb87d16" );
+  ]
+
+let cache_counts c =
+  let s = Eric_sim.Cache.stats c in
+  Eric_sim.Cache.(s.accesses, s.hits, s.misses, s.writebacks)
+
+let compile_dataset (w : Eric_workloads.Workloads.t) dataset =
+  let source = if dataset = "small" then w.source_small else w.source in
+  match Eric_cc.Driver.compile source with
+  | Ok image -> image
+  | Error e -> Alcotest.failf "%s (%s) failed to compile: %s" w.name dataset e
+
+let test_golden_counts () =
+  let counts = Alcotest.(pair (pair int int) (pair int int)) in
+  let quad (a, b, c, d) = ((a, b), (c, d)) in
+  List.iter
+    (fun (name, dataset, insts, cycles, icache, dcache, code, digest) ->
+      let w = Option.get (Eric_workloads.Workloads.by_name name) in
+      let image = compile_dataset w dataset in
+      let memory = Eric_sim.Soc.load image in
+      let cpu = Eric_sim.Soc.boot image memory in
+      let label what = Printf.sprintf "%s/%s %s" name dataset what in
+      (match Eric_sim.Cpu.run cpu with
+      | Eric_sim.Cpu.Exited c -> check Alcotest.int (label "exit code") code c
+      | _ -> Alcotest.failf "%s did not exit" (label "run"));
+      check Alcotest.int64 (label "instructions") insts (Eric_sim.Cpu.instructions cpu);
+      check Alcotest.int64 (label "exec cycles") cycles (Eric_sim.Cpu.cycles cpu);
+      check counts (label "icache") (quad icache) (quad (cache_counts (Eric_sim.Cpu.icache cpu)));
+      check counts (label "dcache") (quad dcache) (quad (cache_counts (Eric_sim.Cpu.dcache cpu)));
+      check Alcotest.string (label "output digest") digest
+        (Digest.to_hex (Digest.string (Eric_sim.Cpu.output cpu))))
+    golden_runs
+
+let test_golden_guarded () =
+  let w = Option.get (Eric_workloads.Workloads.by_name "crc32") in
+  let image = compile_dataset w "small" in
+  let guard = Eric_hw.Guard.fetch_and_scrub ~interval_cycles:512 in
+  let r = Eric_sim.Soc.run_loaded ~guard ~load_cycles:0L image (Eric_sim.Soc.load image) in
+  (match r.Eric_sim.Soc.status with
+  | Eric_sim.Cpu.Exited 0 -> ()
+  | _ -> Alcotest.fail "guarded crc32 did not exit 0");
+  check Alcotest.int64 "guard cycles" 1746045L r.Eric_sim.Soc.guard_cycles;
+  check Alcotest.int64 "exec cycles" 1864332L r.Eric_sim.Soc.exec_cycles;
+  check Alcotest.int64 "instructions" 100180L r.Eric_sim.Soc.instructions;
+  check Alcotest.string "output digest" "a0126569e2baed17eed9197ca22f4c82"
+    (Digest.to_hex (Digest.string r.Eric_sim.Soc.output))
+
 let () =
   Alcotest.run "eric_workloads"
     [ ( "references",
@@ -569,4 +666,8 @@ let () =
           Alcotest.test_case "compression equivalence" `Slow test_compression_equivalence;
           Alcotest.test_case "unoptimized equivalence" `Slow test_unoptimized_equivalence;
           Alcotest.test_case "encrypted roundtrip" `Quick test_encrypted_roundtrip_identical_image;
-          Alcotest.test_case "IR interpreter agrees" `Slow test_ir_interpreter_agrees ] ) ]
+          Alcotest.test_case "IR interpreter agrees" `Slow test_ir_interpreter_agrees ] );
+      ( "golden",
+        [ Alcotest.test_case "simulated counts, 10 workloads x 2 datasets" `Slow
+            test_golden_counts;
+          Alcotest.test_case "guarded run (fetch+scrub:512)" `Quick test_golden_guarded ] ) ]

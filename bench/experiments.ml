@@ -700,7 +700,6 @@ let engine () =
   Report.heading "Campaign engine: fleet-scale work queue + sharded registry";
   let module Engine = Eric_engine.Engine in
   let module Job = Eric_engine.Job in
-  let module Shard = Eric_fleet.Registry_shard in
   let suite = "engine" in
   let cores = Eric_engine.Pool.recommended () in
   Printf.printf "domains available: %b, recommended workers: %d\n"
@@ -746,6 +745,17 @@ let engine () =
     done;
     reg
   in
+  (* an EFRS directory copy of an in-memory registry *)
+  let shard_copy ~dir ~shards reg =
+    match Eric_fleet.Registry.create_sharded ~dir ~shards with
+    | Error e -> failwith e
+    | Ok sh ->
+      List.iter
+        (fun e -> match Eric_fleet.Registry.add sh e with Ok _ -> () | Error e -> failwith e)
+        (Eric_fleet.Registry.entries reg);
+      Eric_fleet.Registry.save sh dir;
+      sh
+  in
   let deploy ?channel ~scheduler ~cache reg =
     let config =
       {
@@ -784,11 +794,9 @@ let engine () =
         in
         let dir = Filename.temp_file "eric_bench_shards" "" in
         Sys.remove dir;
-        (match Shard.of_registry ~dir ~shards:64 reg with
-        | Ok _ -> ()
-        | Error e -> failwith e);
+        ignore (shard_copy ~dir ~shards:64 reg);
         let open_manifest =
-          match wall (fun () -> Shard.load dir) with
+          match wall (fun () -> Eric_fleet.Registry.load dir) with
           | Ok _, ns -> ns
           | Error e, _ -> failwith e
         in
@@ -834,13 +842,11 @@ let engine () =
   let reg = enroll_legacy n in
   let dir = Filename.temp_file "eric_bench_shards" "" in
   Sys.remove dir;
-  let sh =
-    match Shard.of_registry ~dir ~shards:16 reg with Ok s -> s | Error e -> failwith e
-  in
+  let sh = shard_copy ~dir ~shards:16 reg in
   let cache = Eric_fleet.Artifact_cache.create () in
   let r, ns =
     wall (fun () ->
-        match Eric_fleet.Campaign.deploy_sharded ~cache ~shards:sh source with
+        match Eric_fleet.Campaign.deploy ~cache ~registry:sh source with
         | Ok r -> r
         | Error e -> failwith e)
   in

@@ -29,44 +29,22 @@ let run_all () = List.iter (fun (_, f) -> f ()) experiments
    numbers without discarding everyone else's. *)
 let results_file = "BENCH_results.json"
 
-(* The file is our own output, so its shape is exact:
-   [{"suite":"...",...},{...}].  Recover (suite, raw object) pairs with
-   plain string surgery rather than a JSON parser. *)
+(* (suite, row) pairs of the existing results file; a file that does
+   not parse keeps nothing. *)
 let existing_rows () =
   if not (Sys.file_exists results_file) then []
-  else begin
-    let text = String.trim (In_channel.with_open_bin results_file In_channel.input_all) in
-    (* split "[{..},{..},{..}]" into "{..}" pieces: no nesting, and no
-       string value can contain braces (suite/metric/unit names only) *)
-    let objects = ref [] and depth = ref 0 and start = ref 0 in
-    String.iteri
-      (fun i c ->
-        match c with
-        | '{' ->
-          if !depth = 0 then start := i;
-          incr depth
-        | '}' ->
-          decr depth;
-          if !depth = 0 then objects := String.sub text !start (i - !start + 1) :: !objects
-        | _ -> ())
-      text;
-    List.filter_map
-      (fun obj ->
-        let marker = {|"suite":"|} in
-        let mlen = String.length marker in
-        let rec find i =
-          if i + mlen > String.length obj then None
-          else if String.sub obj i mlen = marker then Some (i + mlen)
-          else find (i + 1)
-        in
-        match find 0 with
-        | None -> None
-        | Some start -> (
-          match String.index_from_opt obj start '"' with
-          | None -> None
-          | Some stop -> Some (String.sub obj start (stop - start), obj)))
-      (List.rev !objects)
-  end
+  else
+    match
+      Eric_telemetry.Json.of_string (In_channel.with_open_bin results_file In_channel.input_all)
+    with
+    | Ok (Eric_telemetry.Json.List rows) ->
+      List.filter_map
+        (fun row ->
+          Option.map
+            (fun suite -> (suite, Eric_telemetry.Json.to_string row))
+            (Option.bind (Eric_telemetry.Json.member "suite" row) Eric_telemetry.Json.to_str))
+        rows
+    | Ok _ | Error _ -> []
 
 let write_results () =
   let snapshot = Eric_telemetry.Snapshot.capture () in

@@ -745,27 +745,20 @@ let registry_arg =
     & info [ "registry" ] ~docv:"PATH"
         ~doc:"Device registry: an EFRG file or a sharded registry directory.")
 
+(* A registry path is an EFRG file or a sharded directory; Registry.load
+   tells them apart.  Missing is an internal error (exit 1, with a hint);
+   a file that does not parse is malformed input (exit 4). *)
 let load_registry path =
   if not (Sys.file_exists path) then begin
     Printf.eprintf "error: registry %s does not exist (run 'eric fleet enroll' first)\n" path;
-    exit 1
+    exit exit_internal
   end;
-  or_die (Eric_fleet.Registry.load path)
+  or_die_malformed (Eric_fleet.Registry.load path)
 
-(* A registry path is either a single EFRG file or a sharded directory;
-   every fleet command detects which transparently. *)
-type registry_handle =
-  | Reg_file of Eric_fleet.Registry.t
-  | Reg_sharded of Eric_fleet.Registry_shard.t
-
-let load_any_registry path =
-  if Eric_fleet.Registry_shard.is_sharded path then
-    Reg_sharded (or_die (Eric_fleet.Registry_shard.load path))
-  else Reg_file (load_registry path)
-
-let save_any_registry path = function
-  | Reg_file reg -> Eric_fleet.Registry.save reg path
-  | Reg_sharded sh -> Eric_fleet.Registry_shard.save sh
+(* A sharded registry parses each partition file on first touch, so a
+   corrupt shard surfaces mid-command; it is malformed input too. *)
+let with_registry f =
+  try f () with Eric_fleet.Registry.Corrupt msg -> die ~code:exit_malformed msg
 
 let scheduler_conv =
   let parse s =
@@ -813,28 +806,23 @@ let label_arg =
 let fleet_enroll_cmd =
   let run registry count start_id epoch label factory shards quiet telemetry trace_out =
     setup_telemetry telemetry trace_out;
-    let handle =
-      if Sys.file_exists registry then load_any_registry registry
-      else if shards > 0 then
-        Reg_sharded (or_die (Eric_fleet.Registry_shard.create ~dir:registry ~shards))
-      else Reg_file (Eric_fleet.Registry.create ())
+    with_registry @@ fun () ->
+    let reg =
+      if Sys.file_exists registry then load_registry registry
+      else if shards > 0 then or_die (Eric_fleet.Registry.create_sharded ~dir:registry ~shards)
+      else Eric_fleet.Registry.create ()
     in
-    let enroll_one id =
-      match handle, factory with
-      | Reg_file reg, false -> Eric_fleet.Registry.enroll ~epoch ?label reg id
-      | Reg_file reg, true -> Eric_fleet.Registry.enroll_legacy ~epoch ?label reg id
-      | Reg_sharded sh, false -> Eric_fleet.Registry_shard.enroll ~epoch ?label sh id
-      | Reg_sharded sh, true -> Eric_fleet.Registry_shard.enroll_legacy ~epoch ?label sh id
+    let enroll_one =
+      if factory then Eric_fleet.Registry.enroll_legacy ~epoch ?label reg
+      else Eric_fleet.Registry.enroll ~epoch ?label reg
     in
     for i = 0 to count - 1 do
       let id = Int64.add start_id (Int64.of_int i) in
       let entry = or_die (enroll_one id) in
       if not quiet then Format.printf "%a@." Eric_fleet.Registry.pp_entry entry
     done;
-    save_any_registry registry handle;
-    match handle with
-    | Reg_file reg -> Format.printf "%s: %a@." registry Eric_fleet.Registry.pp_summary reg
-    | Reg_sharded sh -> Format.printf "%s: %a@." registry Eric_fleet.Registry_shard.pp_summary sh
+    Eric_fleet.Registry.save reg registry;
+    Format.printf "%s: %a@." registry Eric_fleet.Registry.pp_summary reg
   in
   let count_arg =
     Arg.(value & opt int 1 & info [ "count" ] ~docv:"N" ~doc:"Number of devices to enroll.")
@@ -875,8 +863,9 @@ let fleet_enroll_cmd =
 
 (* Canonical campaign report as JSON, for the determinism gate: only
    simulation-deterministic fields — no wall-clock timings, no scheduler
-   name — so reports from the deterministic and domain schedulers (and
-   from sharded vs single-file registries of the same fleet) compare
+   name — and devices sorted by id, so reports from the deterministic and
+   domain schedulers, and from single-file and sharded registries of the
+   same fleet (which walk devices in different orders), compare
    byte-for-byte with cmp(1). *)
 let campaign_report_json (r : Eric_fleet.Campaign.report) =
   let buf = Buffer.create 4096 in
@@ -908,7 +897,13 @@ let campaign_report_json (r : Eric_fleet.Campaign.report) =
   Buffer.add_string buf
     (Printf.sprintf "  \"backoff_ns\": %Ld,\n" r.Eric_fleet.Campaign.backoff_ns);
   Buffer.add_string buf "  \"devices\": [\n";
-  let n = List.length r.Eric_fleet.Campaign.devices in
+  let devices =
+    List.stable_sort
+      (fun ((a : Eric_fleet.Registry.entry), _) ((b : Eric_fleet.Registry.entry), _) ->
+        Int64.compare a.Eric_fleet.Registry.device_id b.Eric_fleet.Registry.device_id)
+      r.Eric_fleet.Campaign.devices
+  in
+  let n = List.length devices in
   List.iteri
     (fun i ((entry : Eric_fleet.Registry.entry), result) ->
       Buffer.add_string buf (Printf.sprintf "    {\"id\": %Ld, " entry.Eric_fleet.Registry.device_id);
@@ -935,7 +930,7 @@ let campaign_report_json (r : Eric_fleet.Campaign.report) =
           Buffer.add_string buf "\"");
         Buffer.add_string buf "}");
       Buffer.add_string buf (if i = n - 1 then "\n" else ",\n"))
-    r.Eric_fleet.Campaign.devices;
+    devices;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
 
@@ -943,7 +938,8 @@ let fleet_campaign_cmd =
   let run source registry mode channel max_attempts execute fuel cache_dir firmware devices
       scheduler window report_out no_compress no_optimize telemetry trace_out =
     setup_telemetry telemetry trace_out;
-    let handle = load_any_registry registry in
+    with_registry @@ fun () ->
+    let reg = load_registry registry in
     let policy =
       or_die
         (Eric_fleet.Backoff.validate
@@ -961,15 +957,9 @@ let fleet_campaign_cmd =
         engine = engine_config_of scheduler window }
     in
     let source = read_file source in
-    let report =
-      match handle with
-      | Reg_file reg -> or_die (Eric_fleet.Campaign.deploy ~config ~cache ~registry:reg source)
-      | Reg_sharded sh ->
-        or_die (Eric_fleet.Campaign.deploy_sharded ~config ~cache ~shards:sh source)
-    in
+    let report = or_die (Eric_fleet.Campaign.deploy ~config ~cache ~registry:reg source) in
     if devices then Format.printf "%a" Eric_fleet.Campaign.pp_devices report;
     Format.printf "%a@." Eric_fleet.Campaign.pp_report report;
-    save_any_registry registry handle;
     (match report_out with
     | None -> ()
     | Some path ->
@@ -1031,33 +1021,17 @@ let fleet_campaign_cmd =
 let fleet_rotate_cmd =
   let run registry epoch label rsa_bits seed scheduler window telemetry trace_out =
     setup_telemetry telemetry trace_out;
-    let handle = load_any_registry registry in
+    with_registry @@ fun () ->
+    let reg = load_registry registry in
     let method_ =
       match rsa_bits with
       | None -> Eric_fleet.Rotation.Local
       | Some bits -> Eric_fleet.Rotation.Rsa { bits; seed }
     in
     let engine = engine_config_of scheduler window in
-    let failed = ref false in
-    (match handle with
-    | Reg_file reg ->
-      let report = Eric_fleet.Rotation.rotate ~engine ~method_ ?label ~epoch reg in
-      Format.printf "%a@." Eric_fleet.Rotation.pp_report report;
-      failed := report.Eric_fleet.Rotation.failed <> []
-    | Reg_sharded sh ->
-      (* shard-by-shard: one shard resident at a time *)
-      for i = 0 to Eric_fleet.Registry_shard.shards sh - 1 do
-        if Eric_fleet.Registry_shard.shard_count sh i > 0 then begin
-          let reg = Eric_fleet.Registry_shard.shard sh i in
-          let report = Eric_fleet.Rotation.rotate ~engine ~method_ ?label ~epoch reg in
-          Format.printf "shard %04d: %a@." i Eric_fleet.Rotation.pp_report report;
-          if report.Eric_fleet.Rotation.failed <> [] then failed := true;
-          Eric_fleet.Registry_shard.mark_dirty sh i;
-          Eric_fleet.Registry_shard.release sh i
-        end
-      done);
-    save_any_registry registry handle;
-    if !failed then exit 3
+    let report = Eric_fleet.Rotation.rotate ~engine ~method_ ?label ~epoch reg in
+    Format.printf "%a@." Eric_fleet.Rotation.pp_report report;
+    if report.Eric_fleet.Rotation.failed <> [] then exit exit_failures
   in
   let rsa_arg =
     Arg.(
@@ -1083,7 +1057,8 @@ let fleet_rotate_cmd =
 let fleet_reenroll_cmd =
   let run registry threshold votes env scheduler window telemetry trace_out =
     setup_telemetry telemetry trace_out;
-    let handle = load_any_registry registry in
+    with_registry @@ fun () ->
+    let reg = load_registry registry in
     let config =
       {
         Eric_fleet.Reenroll.default_config with
@@ -1093,25 +1068,9 @@ let fleet_reenroll_cmd =
       }
     in
     let engine = engine_config_of scheduler window in
-    let failed = ref false in
-    (match handle with
-    | Reg_file reg ->
-      let report = Eric_fleet.Reenroll.run ~engine ~config reg in
-      Format.printf "%a@." Eric_fleet.Reenroll.pp_report report;
-      failed := report.Eric_fleet.Reenroll.failed <> []
-    | Reg_sharded sh ->
-      for i = 0 to Eric_fleet.Registry_shard.shards sh - 1 do
-        if Eric_fleet.Registry_shard.shard_count sh i > 0 then begin
-          let reg = Eric_fleet.Registry_shard.shard sh i in
-          let report = Eric_fleet.Reenroll.run ~engine ~config reg in
-          Format.printf "shard %04d: %a@." i Eric_fleet.Reenroll.pp_report report;
-          if report.Eric_fleet.Reenroll.failed <> [] then failed := true;
-          Eric_fleet.Registry_shard.mark_dirty sh i;
-          Eric_fleet.Registry_shard.release sh i
-        end
-      done);
-    save_any_registry registry handle;
-    if !failed then exit exit_failures
+    let report = Eric_fleet.Reenroll.run ~engine ~config reg in
+    Format.printf "%a@." Eric_fleet.Reenroll.pp_report report;
+    if report.Eric_fleet.Reenroll.failed <> [] then exit exit_failures
   in
   let threshold_arg =
     Arg.(
@@ -1145,18 +1104,13 @@ let fleet_reenroll_cmd =
 
 let fleet_status_cmd =
   let run registry devices =
-    match load_any_registry registry with
-    | Reg_file reg ->
-      if devices then
-        List.iter
-          (fun e -> Format.printf "%a@." Eric_fleet.Registry.pp_entry e)
-          (Eric_fleet.Registry.entries reg);
-      Format.printf "%s: %a@." registry Eric_fleet.Registry.pp_summary reg
-    | Reg_sharded sh ->
-      if devices then
-        Eric_fleet.Registry_shard.fold_entries sh ~init:() ~f:(fun () e ->
-            Format.printf "%a@." Eric_fleet.Registry.pp_entry e);
-      Format.printf "%s: %a@." registry Eric_fleet.Registry_shard.pp_summary sh
+    with_registry @@ fun () ->
+    let reg = load_registry registry in
+    if devices then
+      Eric_fleet.Registry.fold reg ~init:() ~f:(fun () e ->
+          Format.printf "%a@." Eric_fleet.Registry.pp_entry e);
+    let summary = Format.asprintf "%a" Eric_fleet.Registry.pp_summary reg in
+    Format.printf "%s: %s@." registry summary
   in
   let devices_arg =
     Arg.(value & flag & info [ "devices" ] ~doc:"Print one line per enrolled device.")
@@ -1168,7 +1122,8 @@ let fleet_status_cmd =
 let fleet_shard_migrate_cmd =
   let run registry dir shards telemetry trace_out =
     setup_telemetry telemetry trace_out;
-    if Eric_fleet.Registry_shard.is_sharded registry then begin
+    with_registry @@ fun () ->
+    if Eric_fleet.Registry.is_sharded registry then begin
       Printf.eprintf "error: %s is already a sharded registry\n" registry;
       exit 1
     end;
@@ -1176,8 +1131,8 @@ let fleet_shard_migrate_cmd =
       Printf.eprintf "error: registry %s does not exist\n" registry;
       exit 1
     end;
-    let sh = or_die (Eric_fleet.Registry_shard.migrate ~file:registry ~dir ~shards) in
-    Format.printf "%s -> %s: %a@." registry dir Eric_fleet.Registry_shard.pp_summary sh
+    let reg = or_die (Eric_fleet.Registry.migrate ~file:registry ~dir ~shards) in
+    Format.printf "%s -> %s: %a@." registry dir Eric_fleet.Registry.pp_summary reg
   in
   let dir_arg =
     Arg.(

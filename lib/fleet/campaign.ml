@@ -49,7 +49,7 @@ let count ?by name =
   if Eric_telemetry.Control.is_enabled () then Eric_telemetry.Registry.inc ?by name
 
 let next_firmware_epoch registry =
-  1 + List.fold_left (fun m e -> max m e.Registry.firmware_epoch) 0 (Registry.entries registry)
+  1 + Registry.fold registry ~init:0 ~f:(fun m e -> max m e.Registry.firmware_epoch)
 
 (* One device's trip through the engine: boot (prepare), keystream
    personalization (personalize), shipping with the shipper's own
@@ -96,36 +96,40 @@ let deploy ?(config = default_config) ~cache ~registry source =
           | None -> next_firmware_epoch registry
         in
         count "fleet.campaign.runs_total";
-        let items = Array.of_list (Registry.entries registry) in
         let spec = device_spec ~config ~registry ~prepared in
         let personalize_ns = ref 0L in
         let rev_devices = ref [] in
-        let commit (c : _ Engine.completion) =
-          let entry = items.(c.Engine.c_index) in
-          count "fleet.campaign.devices_total";
-          match c.Engine.c_outcome with
-          | Job.Skipped reason ->
-            count "fleet.campaign.skipped_total";
-            rev_devices := (entry, Skipped reason) :: !rev_devices
-          | Job.Faulted f ->
-            (* campaign stages never fault — the shipper owns failure
-               handling — but account a surprise rather than drop it *)
-            rev_devices := (entry, Skipped (Format.asprintf "%a" Job.pp_fault f)) :: !rev_devices
-          | Job.Done (entry, delivery, dt) ->
-            personalize_ns := Int64.add !personalize_ns dt;
-            if Eric_telemetry.Control.is_enabled () then
-              Eric_telemetry.Registry.observe "fleet.campaign.personalize_ns"
-                (Int64.to_float dt);
-            (match delivery.Shipper.outcome with
-            | Shipper.Delivered _ ->
-              Registry.update registry { entry with Registry.firmware_epoch }
-            | Shipper.Quarantined { reason } ->
-              Registry.update registry
-                { entry with
-                  Registry.status = Registry.Quarantined (Shipper.quarantine_label reason) });
-            rev_devices := (entry, Shipped delivery) :: !rev_devices
-        in
-        let er = Engine.run ~config:config.engine ~commit ~name:"fleet.campaign" spec items in
+        let scheduler_used = ref "" in
+        (* one engine run per partition; the epoch above is fixed for all *)
+        Registry.walk registry (fun items ->
+            let commit (c : _ Engine.completion) =
+              let entry = items.(c.Engine.c_index) in
+              count "fleet.campaign.devices_total";
+              match c.Engine.c_outcome with
+              | Job.Skipped reason ->
+                count "fleet.campaign.skipped_total";
+                rev_devices := (entry, Skipped reason) :: !rev_devices
+              | Job.Faulted f ->
+                (* campaign stages never fault — the shipper owns failure
+                   handling — but account a surprise rather than drop it *)
+                rev_devices :=
+                  (entry, Skipped (Format.asprintf "%a" Job.pp_fault f)) :: !rev_devices
+              | Job.Done (entry, delivery, dt) ->
+                personalize_ns := Int64.add !personalize_ns dt;
+                if Eric_telemetry.Control.is_enabled () then
+                  Eric_telemetry.Registry.observe "fleet.campaign.personalize_ns"
+                    (Int64.to_float dt);
+                (match delivery.Shipper.outcome with
+                | Shipper.Delivered _ ->
+                  Registry.update registry { entry with Registry.firmware_epoch }
+                | Shipper.Quarantined { reason } ->
+                  Registry.update registry
+                    { entry with
+                      Registry.status = Registry.Quarantined (Shipper.quarantine_label reason) });
+                rev_devices := (entry, Shipped delivery) :: !rev_devices
+            in
+            let er = Engine.run ~config:config.engine ~commit ~name:"fleet.campaign" spec items in
+            scheduler_used := er.Engine.scheduler_used);
         let devices = List.rev !rev_devices in
         let fold f init = List.fold_left f init devices in
         let delivered =
@@ -166,7 +170,7 @@ let deploy ?(config = default_config) ~cache ~registry source =
             digest = Artifact_cache.digest ~options:config.options ~mode:config.mode source;
             cache = cache_outcome;
             firmware_epoch;
-            scheduler_used = er.Engine.scheduler_used;
+            scheduler_used = !scheduler_used;
             devices;
             delivered;
             retried;
@@ -176,60 +180,6 @@ let deploy ?(config = default_config) ~cache ~registry source =
             load_cycles;
             backoff_ns;
             personalize_ns = !personalize_ns;
-            campaign_ns = Int64.sub (Eric_telemetry.Clock.now_ns ()) t_start;
-          })
-
-let deploy_sharded ?(config = default_config) ~cache ~shards source =
-  Eric_telemetry.Span.with_ ~cat:"fleet" ~name:"fleet.campaign.sharded" (fun () ->
-      let t_start = Eric_telemetry.Clock.now_ns () in
-      (* Fix the epoch up front: each shard only sees its own slice, so
-         letting [deploy] derive it per shard would skew. *)
-      let firmware_epoch =
-        match config.firmware_epoch with
-        | Some e -> e
-        | None ->
-          1
-          + Registry_shard.fold_entries shards ~init:0 ~f:(fun m e ->
-                max m e.Registry.firmware_epoch)
-      in
-      let config = { config with firmware_epoch = Some firmware_epoch } in
-      let n_shards = Registry_shard.shards shards in
-      let rec loop i acc =
-        if i = n_shards then Ok (List.rev acc)
-        else if Registry_shard.shard_count shards i = 0 then loop (i + 1) acc
-        else begin
-          let reg = Registry_shard.shard shards i in
-          match deploy ~config ~cache ~registry:reg source with
-          | Error _ as e -> e
-          | Ok r ->
-            (* campaigns stamp epochs / quarantine in place; write the
-               shard back and drop it so memory stays one-shard bounded *)
-            Registry_shard.mark_dirty shards i;
-            Registry_shard.release shards i;
-            loop (i + 1) (r :: acc)
-        end
-      in
-      match loop 0 [] with
-      | Error _ as e -> e
-      | Ok [] -> deploy ~config ~cache ~registry:(Registry.create ()) source
-      | Ok (first :: _ as reports) ->
-        let sum f = List.fold_left (fun n r -> n + f r) 0 reports in
-        let sum64 f = List.fold_left (fun n r -> Int64.add n (f r)) 0L reports in
-        Ok
-          {
-            digest = first.digest;
-            cache = first.cache;
-            firmware_epoch;
-            scheduler_used = first.scheduler_used;
-            devices = List.concat_map (fun r -> r.devices) reports;
-            delivered = sum (fun r -> r.delivered);
-            retried = sum (fun r -> r.retried);
-            quarantined = sum (fun r -> r.quarantined);
-            skipped = sum (fun r -> r.skipped);
-            wire_bytes = sum (fun r -> r.wire_bytes);
-            load_cycles = sum64 (fun r -> r.load_cycles);
-            backoff_ns = sum64 (fun r -> r.backoff_ns);
-            personalize_ns = sum64 (fun r -> r.personalize_ns);
             campaign_ns = Int64.sub (Eric_telemetry.Clock.now_ns ()) t_start;
           })
 

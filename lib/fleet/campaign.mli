@@ -66,20 +66,15 @@ val deploy :
   registry:Registry.t ->
   string ->
   (report, string) result
-(** [Error] only for compilation failure of the source; per-device
-    failures land in the report, not in [Error]. *)
-
-val deploy_sharded :
-  ?config:config ->
-  cache:Artifact_cache.t ->
-  shards:Registry_shard.t ->
-  string ->
-  (report, string) result
-(** The same campaign over a sharded registry, shard by shard: each
-    shard is opened lazily, deployed, written back and released before
-    the next opens, so peak memory is one shard regardless of fleet
-    size.  The firmware epoch is fixed across shards up front; the
-    merged report lists devices in shard-major order. *)
+(** Walks the registry one partition at a time ({!Registry.walk}): the
+    firmware epoch is fixed first, then each partition's devices run
+    through one engine run, and a partition with a file is written back
+    and released before the next one opens, so memory holds one
+    partition whatever the fleet size.  [Error] only for compilation
+    failure of the source; per-device failures land in the report, not
+    in [Error].
+    @raise Registry.Corrupt if a partition file fails to parse; no file
+    is changed then. *)
 
 val all_accounted : report -> bool
 (** delivered + quarantined + skipped = every device in the registry. *)

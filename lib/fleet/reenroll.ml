@@ -101,7 +101,6 @@ type action =
 let run ?(engine = Engine.default_config) ?(config = default_config) registry =
   Eric_telemetry.Span.with_ ~cat:"fleet" ~name:"fleet.reenroll" (fun () ->
       count "fleet.reenroll.runs_total";
-      let items = Array.of_list (Registry.entries registry) in
       let spec =
         {
           Job.admit = Job.always_admit;
@@ -131,45 +130,44 @@ let run ?(engine = Engine.default_config) ?(config = default_config) registry =
       in
       let healthy = ref 0 and reenrolled = ref 0 and upgraded = ref 0 in
       let reactivated = ref 0 and failed = ref [] and rev_devices = ref [] in
-      let commit (c : _ Engine.completion) =
-        let entry = items.(c.Engine.c_index) in
-        let id = entry.Registry.device_id in
-        count "fleet.reenroll.surveyed_total";
-        let outcome =
-          match c.Engine.c_outcome with
-          | Job.Done (Keep_healthy { ppm }) ->
-            incr healthy;
-            count "fleet.reenroll.healthy_total";
-            (* Keep the registry's health figure current even when no
-               action is needed. *)
-            Registry.update registry { entry with Registry.instability_ppm = ppm };
-            Healthy { ppm }
-          | Job.Done (Apply { entry'; before_ppm = None; after_ppm; _ }) ->
-            Registry.update registry entry';
-            incr upgraded;
-            count "fleet.reenroll.upgraded_total";
-            Upgraded { ppm = after_ppm }
-          | Job.Done (Apply { entry'; before_ppm = Some before_ppm; after_ppm; was_quarantined })
-            ->
-            Registry.update registry entry';
-            incr reenrolled;
-            count "fleet.reenroll.reenrolled_total";
-            if was_quarantined && config.reactivate then begin
-              incr reactivated;
-              count "fleet.reenroll.reactivated_total"
-            end;
-            Reenrolled { before_ppm; after_ppm }
-          | Job.Faulted f ->
-            count "fleet.reenroll.failed_total";
-            failed := (id, f.Job.f_reason) :: !failed;
-            Failed f.Job.f_reason
-          | Job.Skipped reason -> Failed ("skipped: " ^ reason)
-        in
-        rev_devices := (id, outcome) :: !rev_devices
-      in
-      let (_ : _ Engine.report) =
-        Engine.run ~config:engine ~commit ~name:"fleet.reenroll" spec items
-      in
+      Registry.walk registry (fun items ->
+          let commit (c : _ Engine.completion) =
+            let entry = items.(c.Engine.c_index) in
+            let id = entry.Registry.device_id in
+            count "fleet.reenroll.surveyed_total";
+            let outcome =
+              match c.Engine.c_outcome with
+              | Job.Done (Keep_healthy { ppm }) ->
+                incr healthy;
+                count "fleet.reenroll.healthy_total";
+                (* Keep the registry's health figure current even when no
+                   action is needed. *)
+                Registry.update registry { entry with Registry.instability_ppm = ppm };
+                Healthy { ppm }
+              | Job.Done (Apply { entry'; before_ppm = None; after_ppm; _ }) ->
+                Registry.update registry entry';
+                incr upgraded;
+                count "fleet.reenroll.upgraded_total";
+                Upgraded { ppm = after_ppm }
+              | Job.Done (Apply { entry'; before_ppm = Some before_ppm; after_ppm; was_quarantined })
+                ->
+                Registry.update registry entry';
+                incr reenrolled;
+                count "fleet.reenroll.reenrolled_total";
+                if was_quarantined && config.reactivate then begin
+                  incr reactivated;
+                  count "fleet.reenroll.reactivated_total"
+                end;
+                Reenrolled { before_ppm; after_ppm }
+              | Job.Faulted f ->
+                count "fleet.reenroll.failed_total";
+                failed := (id, f.Job.f_reason) :: !failed;
+                Failed f.Job.f_reason
+              | Job.Skipped reason -> Failed ("skipped: " ^ reason)
+            in
+            rev_devices := (id, outcome) :: !rev_devices
+          in
+          ignore (Engine.run ~config:engine ~commit ~name:"fleet.reenroll" spec items : _ Engine.report));
       let devices = List.rev !rev_devices in
       {
         surveyed = List.length devices;

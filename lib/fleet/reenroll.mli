@@ -45,9 +45,13 @@ type report = {
 }
 
 val run : ?engine:Eric_engine.Engine.config -> ?config:config -> Registry.t -> report
-(** Surveys and enrollment passes run as {!Eric_engine.Engine} jobs
-    ([engine], default deterministic); registry writes commit in device
-    order, so both schedulers report identically. *)
+(** Walks the registry one partition at a time ({!Registry.walk}),
+    writing back each partition that has a file.  Surveys and enrollment
+    passes run as {!Eric_engine.Engine} jobs ([engine], default
+    deterministic); registry writes commit in device order, so both
+    schedulers report identically.
+    @raise Registry.Corrupt if a partition file fails to parse; no file
+    is changed then. *)
 
 val all_accounted : report -> bool
 (** Every surveyed device landed in exactly one outcome bucket. *)

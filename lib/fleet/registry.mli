@@ -6,11 +6,23 @@
     successful deployment, and a quarantine flag set by the shipper when a
     device repeatedly refuses validly signed packages.
 
-    The registry serialises to a strict, versioned binary format
-    (magic ["EFRG"], version 2; version-1 files still parse) documented
-    in [docs/fleet.md]; parsing rejects truncation, reserved bytes,
-    duplicate ids and trailing garbage, so a corrupt file is refused
-    rather than half-loaded. *)
+    A registry holds its entries in 1..S {e partitions}, each an entry
+    table with its own device/target memo.  It lives in one of three
+    places:
+    - in memory ({!create}, {!parse}): one partition, no file;
+    - a single EFRG file: one partition, parsed when {!load}ed;
+    - an EFRS directory (a [MANIFEST] plus one EFRG file per shard): S
+      partitions, devices routed by {!shard_of}, each parsed on first
+      touch.  Opening reads the manifest only, and {!walk} releases each
+      partition once it is done with it, so a fleet walk holds one
+      partition in memory at a time.
+
+    Both formats are strict and versioned (EFRG magic ["EFRG"], version
+    2, version-1 files still parse; EFRS magic ["EFRS"], version 1),
+    documented in [docs/fleet.md]: parsing rejects truncation, reserved
+    bytes, duplicate ids and trailing garbage, so a corrupt file is
+    refused rather than half-loaded.  Every file is written as a temp
+    file, fsynced and renamed into place, the manifest last. *)
 
 type status = Active | Quarantined of string  (** reason *)
 
@@ -31,11 +43,76 @@ type entry = {
 
 type t
 
+exception Corrupt of string
+(** A registry file failed to parse after {!load} returned: a shard
+    file on first touch, or the input of {!migrate}.  Raised by every
+    function below that may open a partition (and so by the campaign,
+    rotation and re-enrollment walks); the message names the file. *)
+
 val create : unit -> t
+(** An empty in-memory registry (one partition). *)
+
+val create_sharded : dir:string -> shards:int -> (t, string) result
+(** Make [dir] (which must not already hold a manifest) an empty EFRS
+    registry of [shards] partitions (1..65535).  Only the manifest is
+    written; a partition's file appears once it holds entries. *)
+
+val load : string -> (t, string) result
+(** Open an EFRG file (parsed whole, as a stream) or an EFRS directory
+    (manifest only).  I/O and parse failures are [Error], never
+    exceptions.  Records a [fleet.registry.open] span and observes
+    [fleet.registry.open_ns{kind="file"|"manifest"}]. *)
+
+val save : t -> string -> unit
+(** Persist the registry at [path].  When [path] is where the registry
+    was loaded from or created at, only its changed partitions are
+    written (and, for a directory, the manifest); otherwise the whole
+    registry is written as one EFRG file. *)
+
+val is_sharded : string -> bool
+(** True when [path] is a directory holding an EFRS manifest. *)
+
+val shard_of : shards:int -> Eric_puf.Device.id -> int
+(** Stable device-id → partition mapping (a splitmix64-style bit mix,
+    mod [shards]).  Pure: identical across processes and runs. *)
+
+val shards : t -> int
+(** Number of partitions (1 unless loaded from or created as a
+    directory). *)
+
+val migrate : file:string -> dir:string -> shards:int -> (t, string) result
+(** Stream an EFRG file (any supported version) into a fresh EFRS
+    directory without materializing it: entries are routed to per-shard
+    files as they decode, and each shard header's count is patched once
+    the input is consumed.  [Error] when [dir] cannot be made a
+    registry.
+    @raise Corrupt if [file] does not parse; duplicate device ids count,
+    matching {!parse}.  No shard file is left behind then. *)
+
 val entries : t -> entry list
-(** Enrolment order. *)
+(** Partition-major, enrolment order within a partition (so enrolment
+    order for a one-partition registry). *)
 
 val count : t -> int
+(** From the live and manifest counts; opens no partition. *)
+
+val fold : t -> init:'acc -> f:('acc -> entry -> 'acc) -> 'acc
+(** Every entry in {!entries} order.  Partitions not in memory stream
+    from disk entry by entry and are not kept, so a full scan costs one
+    entry of memory. *)
+
+val walk : t -> (entry array -> unit) -> unit
+(** [walk t f] calls [f] once per partition that holds entries (once,
+    with no entries, on an empty registry) with that partition's
+    entries.  While
+    [f] runs the partition is in memory, so {!target}, {!device} and
+    {!update} on its devices touch no file.  After [f], a partition with
+    a home on disk is written back if it changed and released, dropping
+    its memo.  The written partitions are renamed into place, manifest
+    last, only after the whole walk: a walk that raises (a {!Corrupt}
+    partition, say) changes no file, and the partitions it had released
+    revert to what is on disk. *)
+
 val find : t -> Eric_puf.Device.id -> entry option
 val mem : t -> Eric_puf.Device.id -> bool
 val active : t -> entry list
@@ -44,7 +121,7 @@ val quarantined : t -> entry list
 val context : entry -> Eric.Kmu.context
 
 val device : t -> Eric_puf.Device.id -> Eric_puf.Device.t
-(** The simulated silicon, manufactured once per registry and memoized —
+(** The simulated silicon, manufactured once per partition and memoized —
     the stand-in for the hardware simply existing in the field. *)
 
 val target : ?env:Eric_puf.Env.t -> t -> entry -> Eric.Target.t
@@ -53,7 +130,7 @@ val target : ?env:Eric_puf.Env.t -> t -> entry -> Eric.Target.t
     (at [env], default nominal) — a boot that can {e fail}, leaving the
     target refusing every load with [Key_unavailable].  Memoized per
     (device, context): the PUF key derivation happens once per boot on
-    real silicon, so the model pays it once per registry, not per packet. *)
+    real silicon, so the model pays it once per partition, not per packet. *)
 
 val target_for :
   ?env:Eric_puf.Env.t -> t -> context:Eric.Kmu.context -> Eric_puf.Device.id ->
@@ -105,34 +182,10 @@ val update : t -> entry -> unit
     @raise Invalid_argument if the device is not enrolled. *)
 
 val serialize : t -> bytes
+(** The whole registry as one EFRG (version 2) file image. *)
+
 val parse : bytes -> (t, string) result
-
-val serialize_entry : Buffer.t -> entry -> unit
-(** Append one wire-format (version-2) entry record to [buf].  With
-    {!header} this lets shard writers stream entries to disk without
-    building a whole-registry buffer. *)
-
-val header : count:int -> bytes
-(** The 12-byte file header (magic, version, reserved, entry count).
-    Writers that stream entries can emit a [count:0] header first and
-    rewrite it once the true count is known. *)
-
-val fold_file :
-  string -> init:'acc -> f:('acc -> entry -> ('acc, string) result) ->
-  ('acc, string) result
-(** Stream a registry file entry by entry without materializing a
-    registry (or the file) in memory: each entry is decoded from a
-    buffered channel cursor, handed to [f], and dropped.  Strictness
-    matches {!parse} — bad magic, truncation and trailing bytes all fail
-    — except duplicate device ids, which the caller must track if it
-    cares.  [f] can stop the fold by returning [Error]. *)
-
-val save : t -> string -> unit
-val load : string -> (t, string) result
-(** File I/O wrappers; [load] turns I/O failures into [Error] rather than
-    exceptions so front ends can exit cleanly.  [load] parses the file as
-    a stream, records a [fleet.registry.open] span and observes
-    [fleet.registry.open_ns{kind="file"}]. *)
+(** An EFRG file image as an in-memory registry. *)
 
 val pp_status : Format.formatter -> status -> unit
 val pp_entry : Format.formatter -> entry -> unit

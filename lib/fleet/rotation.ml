@@ -44,7 +44,6 @@ let rotate ?(engine = Engine.default_config) ?(method_ = Local) ?label ~epoch re
             | Ok key -> key
             | Error e -> raise (Failure e)
       in
-      let items = Array.of_list (Registry.entries registry) in
       let spec =
         {
           Job.admit = Job.always_admit;
@@ -63,27 +62,26 @@ let rotate ?(engine = Engine.default_config) ?(method_ = Local) ?label ~epoch re
         }
       in
       let rotated = ref 0 and reactivated = ref 0 and failed = ref [] in
-      let commit (c : _ Engine.completion) =
-        let entry = items.(c.Engine.c_index) in
-        match c.Engine.c_outcome with
-        | Job.Done ((entry : Registry.entry), label, key) ->
-          incr rotated;
-          count ~labels:[ ("method", method_label method_) ] "fleet.rotate.rotated_total";
-          (match entry.Registry.status with
-          | Registry.Quarantined _ ->
-            incr reactivated;
-            count "fleet.rotate.reactivated_total"
-          | Registry.Active -> ());
-          Registry.update registry
-            { entry with Registry.epoch; label; key; status = Registry.Active }
-        | Job.Faulted f ->
-          count "fleet.rotate.failed_total";
-          failed := (entry.Registry.device_id, f.Job.f_reason) :: !failed
-        | Job.Skipped _ -> ()
-      in
-      let (_ : _ Engine.report) =
-        Engine.run ~config:engine ~commit ~name:"fleet.rotate" spec items
-      in
+      Registry.walk registry (fun items ->
+          let commit (c : _ Engine.completion) =
+            let entry = items.(c.Engine.c_index) in
+            match c.Engine.c_outcome with
+            | Job.Done ((entry : Registry.entry), label, key) ->
+              incr rotated;
+              count ~labels:[ ("method", method_label method_) ] "fleet.rotate.rotated_total";
+              (match entry.Registry.status with
+              | Registry.Quarantined _ ->
+                incr reactivated;
+                count "fleet.rotate.reactivated_total"
+              | Registry.Active -> ());
+              Registry.update registry
+                { entry with Registry.epoch; label; key; status = Registry.Active }
+            | Job.Faulted f ->
+              count "fleet.rotate.failed_total";
+              failed := (entry.Registry.device_id, f.Job.f_reason) :: !failed
+            | Job.Skipped _ -> ()
+          in
+          ignore (Engine.run ~config:engine ~commit ~name:"fleet.rotate" spec items : _ Engine.report));
       {
         epoch;
         label;

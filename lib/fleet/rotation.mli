@@ -34,11 +34,15 @@ type report = {
 val rotate :
   ?engine:Eric_engine.Engine.config -> ?method_:method_ -> ?label:string ->
   epoch:int -> Registry.t -> report
-(** Mutates the registry in place; persist with {!Registry.save}.
-    Per-device provisioning runs on the {!Eric_engine.Engine} work queue
-    ([engine], default deterministic); under {!Rsa} each device draws
-    handshake randomness from its own seed-and-id-derived stream, so the
-    domain scheduler produces the same keys as the deterministic one. *)
+(** Walks the registry one partition at a time ({!Registry.walk}),
+    re-keying its devices in place and writing back each partition that
+    has a file.  Per-device provisioning runs on the
+    {!Eric_engine.Engine} work queue ([engine], default deterministic);
+    under {!Rsa} each device draws handshake randomness from its own
+    seed-and-id-derived stream, so the domain scheduler produces the
+    same keys as the deterministic one.
+    @raise Registry.Corrupt if a partition file fails to parse; no file
+    is changed then. *)
 
 val method_label : method_ -> string
 val pp_report : Format.formatter -> report -> unit

@@ -166,6 +166,124 @@ let test_exit_code_internal () =
         (fun () -> expect_code "compile error" 1 (run_cli [ "compile"; path_mc ])))
 
 (* ------------------------------------------------------------------ *)
+(* Registries: malformed input is exit 4 for files and shard dirs alike *)
+(* ------------------------------------------------------------------ *)
+
+let with_tmp_dir f =
+  let dir = Filename.temp_file "eric_cli_reg" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () -> f dir)
+
+let read path = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+
+(* 40 factory devices in 8 shards, ids 9000.. (shard 3 holds some). *)
+let make_sharded dir =
+  match Eric_fleet.Registry.create_sharded ~dir ~shards:8 with
+  | Error e -> Alcotest.fail e
+  | Ok reg ->
+    for i = 0 to 39 do
+      match Eric_fleet.Registry.enroll_legacy reg (Int64.of_int (9_000 + i)) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e
+    done;
+    Eric_fleet.Registry.save reg dir
+
+let corrupt_shard dir =
+  let shard = Filename.concat dir "shard-0003.efrg" in
+  let b = read shard in
+  Bytes.set b 0 'X';
+  write shard b
+
+let snapshot dir =
+  List.map
+    (fun name -> (name, read (Filename.concat dir name)))
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+let campaign_source =
+  "int main() { int s = 0; for (int i = 0; i < 8; i = i + 1) { s = s + i; } \
+   println_int(s); return 0; }"
+
+let with_source f =
+  with_tmp (fun path ->
+      let src = path ^ ".mc" in
+      write src (Bytes.of_string campaign_source);
+      Fun.protect ~finally:(fun () -> Sys.remove src) (fun () -> f src))
+
+let test_corrupt_shard_status () =
+  with_tmp_dir (fun dir ->
+      make_sharded dir;
+      corrupt_shard dir;
+      expect_code "status on a corrupt shard" 4
+        (run_cli [ "fleet"; "status"; "--registry"; dir ]);
+      expect_code "status --devices on a corrupt shard" 4
+        (run_cli [ "fleet"; "status"; "--devices"; "--registry"; dir ]))
+
+let test_corrupt_shard_campaign () =
+  with_tmp_dir (fun dir ->
+      make_sharded dir;
+      corrupt_shard dir;
+      let before = snapshot dir in
+      with_source (fun src ->
+          expect_code "campaign on a corrupt shard" 4
+            (run_cli [ "fleet"; "campaign"; src; "--registry"; dir ]);
+          expect_code "rotate on a corrupt shard" 4
+            (run_cli [ "fleet"; "rotate"; "--epoch"; "7"; "--registry"; dir ]));
+      (* the walks stage their writes: nothing lands before the bad shard
+         is found *)
+      check Alcotest.bool "no file changed" true (before = snapshot dir))
+
+let test_corrupt_file_is_4 () =
+  with_tmp (fun path ->
+      ignore (make_registry path 1);
+      let b = read path in
+      Bytes.set b 0 'X';
+      write path b;
+      expect_code "status on a corrupt file" 4
+        (run_cli [ "fleet"; "status"; "--registry"; path ]);
+      expect_code "missing registry" 1
+        (run_cli [ "fleet"; "status"; "--registry"; "/nonexistent/fleet.efrg" ]))
+
+(* The canonical report lists devices by id, so a single-file fleet and
+   its sharded migration report identically. *)
+let test_report_layout_independent () =
+  with_tmp_dir (fun dir ->
+      with_tmp (fun file ->
+          let reg = Eric_fleet.Registry.create () in
+          for i = 0 to 11 do
+            ignore (Result.get_ok (Eric_fleet.Registry.enroll_legacy reg (Int64.of_int (9_000 + i))))
+          done;
+          Eric_fleet.Registry.save reg file;
+          ignore (Result.get_ok (Eric_fleet.Registry.migrate ~file ~dir ~shards:4));
+          with_source (fun src ->
+              let report registry =
+                with_tmp (fun out ->
+                    let code, err =
+                      run_cli [ "fleet"; "campaign"; src; "--registry"; registry; "--report-out"; out ]
+                    in
+                    check Alcotest.int ("campaign succeeds: " ^ err) 0 code;
+                    In_channel.with_open_bin out In_channel.input_all)
+              in
+              let from_file = report file and from_dir = report dir in
+              check Alcotest.string "file and sharded reports are identical" from_file from_dir;
+              let ids =
+                match Eric_telemetry.Json.of_string from_file with
+                | Error e -> Alcotest.fail e
+                | Ok json ->
+                  List.filter_map
+                    (fun d -> Option.bind (Eric_telemetry.Json.member "id" d) Eric_telemetry.Json.to_float)
+                    (Option.value ~default:[]
+                       (Option.bind (Eric_telemetry.Json.member "devices" json) Eric_telemetry.Json.to_list))
+              in
+              check Alcotest.int "every device listed" 12 (List.length ids);
+              check Alcotest.bool "devices sorted by id" true (ids = List.sort compare ids))))
+
+(* ------------------------------------------------------------------ *)
 (* verif subcommands through the real binary                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -398,7 +516,10 @@ let () =
           Alcotest.test_case "corrupt registry magic" `Quick test_corrupt_registry_magic;
           Alcotest.test_case "missing registry" `Quick test_missing_registry;
           Alcotest.test_case "garbage package" `Quick test_garbage_package;
-          Alcotest.test_case "truncated package" `Quick test_truncated_package ] );
+          Alcotest.test_case "truncated package" `Quick test_truncated_package;
+          Alcotest.test_case "corrupt shard status is 4" `Quick test_corrupt_shard_status;
+          Alcotest.test_case "corrupt shard campaign is 4" `Quick test_corrupt_shard_campaign;
+          Alcotest.test_case "corrupt registry file is 4" `Quick test_corrupt_file_is_4 ] );
       ( "exit-codes",
         [ Alcotest.test_case "malformed input is 4" `Quick test_exit_code_malformed;
           Alcotest.test_case "validation refusal is 5" `Quick test_exit_code_refused;
@@ -412,7 +533,9 @@ let () =
           Alcotest.test_case "metrics smoke" `Quick test_puf_metrics_smoke;
           Alcotest.test_case "unknown corner refused" `Quick test_puf_unknown_corner ] );
       ( "fleet",
-        [ Alcotest.test_case "reenroll smoke" `Quick test_fleet_reenroll_smoke ] );
+        [ Alcotest.test_case "reenroll smoke" `Quick test_fleet_reenroll_smoke;
+          Alcotest.test_case "report independent of layout" `Quick
+            test_report_layout_independent ] );
       ( "obfuscate",
         [ Alcotest.test_case "unknown pass is 4" `Quick test_build_unknown_obf_pass_exit_4;
           Alcotest.test_case "lint reports package passes" `Quick

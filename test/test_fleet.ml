@@ -766,8 +766,6 @@ let test_reenroll_campaign () =
 (* Sharded registry                                                    *)
 (* ------------------------------------------------------------------ *)
 
-module Shard = Eric_fleet.Registry_shard
-
 let with_temp_dir f =
   let dir = Filename.temp_file "eric_shards" "" in
   Sys.remove dir;
@@ -779,6 +777,17 @@ let with_temp_dir f =
       end)
     (fun () -> f dir)
 
+(* An EFRS directory copy of an in-memory registry. *)
+let shard_copy ~dir ~shards reg =
+  Result.map
+    (fun sh ->
+      List.iter
+        (fun e -> ignore (Result.get_ok (Eric_fleet.Registry.add sh e)))
+        (Eric_fleet.Registry.entries reg);
+      Eric_fleet.Registry.save sh dir;
+      sh)
+    (Eric_fleet.Registry.create_sharded ~dir ~shards)
+
 let by_id entries =
   List.sort
     (fun (a : Eric_fleet.Registry.entry) (b : Eric_fleet.Registry.entry) ->
@@ -789,8 +798,8 @@ let shard_mapping_prop =
   qtest ~count:500 "shard mapping is pure and in range"
     QCheck.(pair (int_range 1 64) int64)
     (fun (shards, id) ->
-      let s = Shard.shard_of ~shards id in
-      s >= 0 && s < shards && s = Shard.shard_of ~shards id)
+      let s = Eric_fleet.Registry.shard_of ~shards id in
+      s >= 0 && s < shards && s = Eric_fleet.Registry.shard_of ~shards id)
 
 let shard_equivalence_prop =
   (* An N-shard registry is observably equivalent to the single-file one
@@ -830,34 +839,32 @@ let shard_equivalence_prop =
           | Error e -> failwith e)
         specs;
       with_temp_dir (fun dir ->
-          match Shard.of_registry ~dir ~shards reg with
+          match shard_copy ~dir ~shards reg with
           | Error e -> QCheck.Test.fail_report e
           | Ok sh ->
             let merged_eq sh =
-              match Shard.to_registry sh with
-              | Error e -> QCheck.Test.fail_report e
-              | Ok merged ->
-                Eric_fleet.Registry.count merged = Eric_fleet.Registry.count reg
-                && List.for_all2 entry_eq
-                     (by_id (Eric_fleet.Registry.entries reg))
-                     (by_id (Eric_fleet.Registry.entries merged))
+              let merged = Eric_fleet.Registry.entries sh in
+              List.length merged = Eric_fleet.Registry.count reg
+              && List.for_all2 entry_eq
+                   (by_id (Eric_fleet.Registry.entries reg))
+                   (by_id merged)
             in
             let finds_eq sh =
               List.for_all
                 (fun (e : Eric_fleet.Registry.entry) ->
-                  match Shard.find sh e.Eric_fleet.Registry.device_id with
+                  match Eric_fleet.Registry.find sh e.Eric_fleet.Registry.device_id with
                   | Some e' -> entry_eq e e'
                   | None -> false)
                 (Eric_fleet.Registry.entries reg)
             in
             let reopened =
-              match Shard.load dir with
+              match Eric_fleet.Registry.load dir with
               | Error e -> QCheck.Test.fail_report e
               | Ok sh2 ->
-                Shard.count sh2 = Eric_fleet.Registry.count reg
+                Eric_fleet.Registry.count sh2 = Eric_fleet.Registry.count reg
                 && merged_eq sh2 && finds_eq sh2
             in
-            Shard.count sh = Eric_fleet.Registry.count reg
+            Eric_fleet.Registry.count sh = Eric_fleet.Registry.count reg
             && merged_eq sh && finds_eq sh && reopened))
 
 let test_shard_migrate_from_file () =
@@ -867,22 +874,22 @@ let test_shard_migrate_from_file () =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       Eric_fleet.Registry.save reg file;
-      check Alcotest.bool "a plain file is not sharded" false (Shard.is_sharded file);
+      check Alcotest.bool "a plain file is not sharded" false (Eric_fleet.Registry.is_sharded file);
       with_temp_dir (fun dir ->
-          match Shard.migrate ~file ~dir ~shards:4 with
+          match Eric_fleet.Registry.migrate ~file ~dir ~shards:4 with
           | Error e -> Alcotest.fail e
           | Ok sh ->
-            check Alcotest.bool "the directory is sharded" true (Shard.is_sharded dir);
-            check Alcotest.int "count survives" 5 (Shard.count sh);
+            check Alcotest.bool "the directory is sharded" true (Eric_fleet.Registry.is_sharded dir);
+            check Alcotest.int "count survives" 5 (Eric_fleet.Registry.count sh);
             List.iter
               (fun (e : Eric_fleet.Registry.entry) ->
-                match Shard.find sh e.Eric_fleet.Registry.device_id with
+                match Eric_fleet.Registry.find sh e.Eric_fleet.Registry.device_id with
                 | Some e' ->
                   check Alcotest.bool "entry survives migration, helper included" true
                     (entry_eq e e')
                 | None -> Alcotest.fail "device lost in migration")
               (Eric_fleet.Registry.entries reg);
-            let seen = Shard.fold_entries sh ~init:0 ~f:(fun n _ -> n + 1) in
+            let seen = Eric_fleet.Registry.fold sh ~init:0 ~f:(fun n _ -> n + 1) in
             check Alcotest.int "streaming scan walks the whole fleet" 5 seen;
             (* booting through either view reconstructs the same key *)
             let e = List.hd (Eric_fleet.Registry.entries reg) in
@@ -893,7 +900,7 @@ let test_shard_migrate_from_file () =
             in
             check Alcotest.string "same boot key through either view"
               (key (Eric_fleet.Registry.target reg e))
-              (key (Shard.target sh e))))
+              (key (Eric_fleet.Registry.target sh e))))
 
 let test_shard_migrate_v1_file () =
   (* The streaming migration must accept a version-1 single-file registry
@@ -924,11 +931,11 @@ let test_shard_migrate_v1_file () =
       Buffer.output_buffer oc buf;
       close_out oc;
       with_temp_dir (fun dir ->
-          match Shard.migrate ~file ~dir ~shards:2 with
+          match Eric_fleet.Registry.migrate ~file ~dir ~shards:2 with
           | Error e -> Alcotest.fail ("v1 migration refused: " ^ e)
           | Ok sh -> (
-            check Alcotest.int "one device" 1 (Shard.count sh);
-            match Shard.find sh 42L with
+            check Alcotest.int "one device" 1 (Eric_fleet.Registry.count sh);
+            match Eric_fleet.Registry.find sh 42L with
             | None -> Alcotest.fail "v1 device lost"
             | Some e ->
               check Alcotest.int "epoch" 3 e.Eric_fleet.Registry.epoch;
@@ -940,13 +947,13 @@ let test_campaign_sharded_deploys_and_persists () =
   let reg = enroll_fleet ~start:9_600 5 in
   with_temp_dir (fun dir ->
       let sh =
-        match Shard.of_registry ~dir ~shards:3 reg with
+        match shard_copy ~dir ~shards:3 reg with
         | Ok s -> s
         | Error e -> Alcotest.fail e
       in
       let cache = Eric_fleet.Artifact_cache.create () in
       let r =
-        match Eric_fleet.Campaign.deploy_sharded ~cache ~shards:sh test_source with
+        match Eric_fleet.Campaign.deploy ~cache ~registry:sh test_source with
         | Ok r -> r
         | Error e -> Alcotest.fail e
       in
@@ -956,12 +963,113 @@ let test_campaign_sharded_deploys_and_persists () =
         (List.length r.Eric_fleet.Campaign.devices);
       (* the campaign wrote each shard back on release: a cold reopen
          sees the stamped firmware without any in-memory state *)
-      match Shard.load dir with
+      match Eric_fleet.Registry.load dir with
       | Error e -> Alcotest.fail e
       | Ok sh2 ->
-        Shard.fold_entries sh2 ~init:() ~f:(fun () e ->
+        check Alcotest.int "every device reloaded" 5 (Eric_fleet.Registry.count sh2);
+        Eric_fleet.Registry.fold sh2 ~init:() ~f:(fun () e ->
             check Alcotest.int "firmware stamp persisted"
               r.Eric_fleet.Campaign.firmware_epoch e.Eric_fleet.Registry.firmware_epoch))
+
+(* A [shards]-partition directory registry of [n] factory devices. *)
+let legacy_sharded ~dir ~shards ~start n =
+  match Eric_fleet.Registry.create_sharded ~dir ~shards with
+  | Error e -> Alcotest.fail e
+  | Ok sh ->
+    for i = 0 to n - 1 do
+      match Eric_fleet.Registry.enroll_legacy sh (Int64.of_int (start + i)) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e
+    done;
+    Eric_fleet.Registry.save sh dir;
+    sh
+
+(* Every entry of a cold reload of [dir], each checked by [ok]. *)
+let check_reloaded dir ~n what ok =
+  match Eric_fleet.Registry.load dir with
+  | Error e -> Alcotest.fail e
+  | Ok cold ->
+    let es = Eric_fleet.Registry.entries cold in
+    check Alcotest.int (what ^ ": every device reloaded") n (List.length es);
+    List.iter (fun e -> check Alcotest.bool what true (ok e)) es
+
+let no_temp_files dir =
+  Array.for_all (fun name -> not (Filename.check_suffix name ".tmp")) (Sys.readdir dir)
+
+let test_rotation_walks_shards () =
+  with_temp_dir (fun dir ->
+      let sh = legacy_sharded ~dir ~shards:3 ~start:9_800 9 in
+      let r = Eric_fleet.Rotation.rotate ~epoch:4 sh in
+      check Alcotest.int "every device re-keyed" 9 r.Eric_fleet.Rotation.rotated;
+      check Alcotest.bool "no temp file left" true (no_temp_files dir);
+      check_reloaded dir ~n:9 "new epoch persisted" (fun e -> e.Eric_fleet.Registry.epoch = 4))
+
+let test_reenroll_walks_shards () =
+  with_temp_dir (fun dir ->
+      let sh = legacy_sharded ~dir ~shards:3 ~start:9_820 6 in
+      let r = Eric_fleet.Reenroll.run sh in
+      check Alcotest.int "every legacy device upgraded" 6 r.Eric_fleet.Reenroll.upgraded;
+      check_reloaded dir ~n:6 "helper data persisted" (fun e ->
+          e.Eric_fleet.Registry.helper <> None))
+
+let test_walk_aborts_on_corrupt_shard () =
+  with_temp_dir (fun dir ->
+      ignore (legacy_sharded ~dir ~shards:3 ~start:9_840 9);
+      let files () =
+        List.map
+          (fun name -> (name, In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all))
+          (List.sort compare (Array.to_list (Sys.readdir dir)))
+      in
+      (* corrupt the last shard, so the walk has staged the others first *)
+      let last = Filename.concat dir "shard-0002.efrg" in
+      let b = Bytes.of_string (In_channel.with_open_bin last In_channel.input_all) in
+      Bytes.set b 0 'X';
+      Out_channel.with_open_bin last (fun oc -> Out_channel.output_bytes oc b);
+      let before = files () in
+      let sh = Result.get_ok (Eric_fleet.Registry.load dir) in
+      (match Eric_fleet.Rotation.rotate ~epoch:4 sh with
+      | _ -> Alcotest.fail "rotation over a corrupt shard succeeded"
+      | exception Eric_fleet.Registry.Corrupt msg ->
+        check Alcotest.bool "error names the shard" true (String.starts_with ~prefix:last msg));
+      check Alcotest.bool "no file changed, no temp file left" true (before = files ()))
+
+let test_campaign_file_deploy_persists () =
+  let file = Filename.temp_file "eric_fleet" ".efrg" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Eric_fleet.Registry.save (enroll_fleet ~start:9_880 3) file;
+      let reg = Result.get_ok (Eric_fleet.Registry.load file) in
+      let r = deploy ~cache:(Eric_fleet.Artifact_cache.create ()) reg in
+      check Alcotest.int "all delivered" 3 r.Eric_fleet.Campaign.delivered;
+      (* the walk wrote the file back: a cold reload sees the stamps *)
+      check_reloaded file ~n:3 "firmware stamp persisted" (fun e ->
+          e.Eric_fleet.Registry.firmware_epoch = r.Eric_fleet.Campaign.firmware_epoch))
+
+let test_save_is_atomic () =
+  let reg = enroll_fleet ~start:9_860 4 in
+  with_temp_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let file = Filename.concat dir "fleet.efrg" in
+      Eric_fleet.Registry.save reg file;
+      check Alcotest.bool "file save leaves no temp file" true (no_temp_files dir);
+      let expected = Eric_fleet.Registry.serialize reg in
+      check Alcotest.bool "file holds exactly the serialized bytes" true
+        (Bytes.equal expected
+           (Bytes.of_string (In_channel.with_open_bin file In_channel.input_all)));
+      match Eric_fleet.Registry.load file with
+      | Error e -> Alcotest.fail e
+      | Ok back ->
+        check Alcotest.bool "reload serializes to the same bytes" true
+          (Bytes.equal expected (Eric_fleet.Registry.serialize back)));
+  with_temp_dir (fun dir ->
+      let sh = Result.get_ok (shard_copy ~dir ~shards:3 reg) in
+      check Alcotest.bool "sharded save leaves no temp file" true (no_temp_files dir);
+      match Eric_fleet.Registry.load dir with
+      | Error e -> Alcotest.fail e
+      | Ok back ->
+        check Alcotest.bool "sharded reload serializes to the same bytes" true
+          (Bytes.equal (Eric_fleet.Registry.serialize sh) (Eric_fleet.Registry.serialize back)))
 
 let test_campaign_scheduler_determinism () =
   (* Same fleet, same source, same hostile channel — the deterministic
@@ -1062,7 +1170,12 @@ let () =
         [ shard_mapping_prop;
           shard_equivalence_prop;
           Alcotest.test_case "migrate from file" `Quick test_shard_migrate_from_file;
-          Alcotest.test_case "migrate v1 file" `Quick test_shard_migrate_v1_file ] );
+          Alcotest.test_case "migrate v1 file" `Quick test_shard_migrate_v1_file;
+          Alcotest.test_case "save is atomic" `Quick test_save_is_atomic;
+          Alcotest.test_case "rotate walks shards" `Quick test_rotation_walks_shards;
+          Alcotest.test_case "reenroll walks shards" `Quick test_reenroll_walks_shards;
+          Alcotest.test_case "corrupt shard aborts a walk" `Quick
+            test_walk_aborts_on_corrupt_shard ] );
       ( "cache",
         [ Alcotest.test_case "memory tier" `Quick test_cache_memory_tier;
           Alcotest.test_case "disk tier" `Quick test_cache_disk_tier;
@@ -1087,6 +1200,7 @@ let () =
           Alcotest.test_case "retry recovers everyone" `Quick test_campaign_retry_recovers_everyone;
           Alcotest.test_case "sharded deploy persists" `Quick
             test_campaign_sharded_deploys_and_persists;
+          Alcotest.test_case "file deploy persists" `Quick test_campaign_file_deploy_persists;
           Alcotest.test_case "scheduler determinism" `Quick
             test_campaign_scheduler_determinism ] );
       ( "rotation",
